@@ -110,6 +110,10 @@ class VMPool:
         self.vms: List[VM] = [
             VM(vm_id=next(self._ids), cluster=spec.name) for _ in range(spec.max_vms)
         ]
+        #: VMs per lifecycle state, kept in step by :meth:`_move` so the
+        #: counting queries never walk ``vms``.
+        self._counts: Dict[VMState, int] = {state: 0 for state in VMState}
+        self._counts[VMState.OFF] = len(self.vms)
         self.launches = 0
         self.shutdowns = 0
         self.boot_failures = 0
@@ -118,24 +122,24 @@ class VMPool:
     # Queries
     # ------------------------------------------------------------------
     def count(self, state: VMState) -> int:
-        return sum(1 for vm in self.vms if vm.state is state)
+        return self._counts[state]
 
     @property
     def running(self) -> int:
-        return self.count(VMState.RUNNING)
+        return self._counts[VMState.RUNNING]
 
     @property
     def booting(self) -> int:
-        return self.count(VMState.BOOTING)
+        return self._counts[VMState.BOOTING]
 
     @property
     def active(self) -> int:
         """VMs that are or will shortly be serving (running + booting)."""
-        return self.running + self.booting
+        return self._counts[VMState.RUNNING] + self._counts[VMState.BOOTING]
 
     @property
     def available_to_launch(self) -> int:
-        return self.count(VMState.OFF)
+        return self._counts[VMState.OFF]
 
     def running_vms(self) -> List[VM]:
         return [vm for vm in self.vms if vm.state is VMState.RUNNING]
@@ -149,6 +153,12 @@ class VMPool:
     # ------------------------------------------------------------------
     def _now(self) -> float:
         return self.simulator.now if self.simulator is not None else 0.0
+
+    def _move(self, source: VMState, target: VMState, n: int = 1) -> None:
+        """Record ``n`` VMs moving from ``source`` to ``target``; every
+        state change of a pool VM is booked here."""
+        self._counts[source] -= n
+        self._counts[target] += n
 
     def _boot_fails(self) -> bool:
         if self.boot_failure_rate <= 0.0:
@@ -165,27 +175,32 @@ class VMPool:
         """
         if count < 0:
             raise ValueError(f"launch count must be >= 0, got {count}")
-        started = 0
+        count = min(count, self._counts[VMState.OFF])
+        instant = self.simulator is None
+        target = VMState.RUNNING if instant else VMState.BOOTING
+        now = self._now()
+        started = moved = 0
         for vm in self.vms:
             if started >= count:
                 break
             if vm.state is not VMState.OFF:
                 continue
             started += 1
-            self.launches += 1
-            if self.simulator is None:
-                if self._boot_fails():
-                    self.boot_failures += 1
-                else:
-                    vm.state = VMState.RUNNING
-                    vm.booted_at = self._now()
+            if instant and self._boot_fails():
+                self.boot_failures += 1
+                continue
+            vm.state = target
+            moved += 1
+            if instant:
+                vm.booted_at = now
             else:
-                vm.state = VMState.BOOTING
                 self.simulator.schedule_in(
                     self.boot_seconds,
                     self._make_boot_completion(vm),
                     label=f"vm-boot:{vm.vm_id}",
                 )
+        self._move(VMState.OFF, target, moved)
+        self.launches += started
         return started
 
     def _make_boot_completion(self, vm: VM):
@@ -197,6 +212,7 @@ class VMPool:
                 else:
                     vm.state = VMState.RUNNING
                     vm.booted_at = self._now()
+                self._move(VMState.BOOTING, vm.state)
 
         return complete
 
@@ -208,26 +224,31 @@ class VMPool:
         """
         if count < 0:
             raise ValueError(f"shutdown count must be >= 0, got {count}")
+        target = (
+            VMState.OFF if self.simulator is None else VMState.SHUTTING_DOWN
+        )
         stopped = 0
         # Booting VMs are cheapest to reclaim.
         for state in (VMState.BOOTING, VMState.RUNNING):
+            quota = min(count - stopped, self._counts[state])
+            taken = 0
             for vm in self.vms:
-                if stopped >= count:
-                    return stopped
+                if taken >= quota:
+                    break
                 if vm.state is not state:
                     continue
-                stopped += 1
-                self.shutdowns += 1
+                taken += 1
                 vm.clear_assignment()
-                if self.simulator is None:
-                    vm.state = VMState.OFF
-                else:
-                    vm.state = VMState.SHUTTING_DOWN
+                vm.state = target
+                if self.simulator is not None:
                     self.simulator.schedule_in(
                         self.shutdown_seconds,
                         self._make_shutdown_completion(vm),
                         label=f"vm-stop:{vm.vm_id}",
                     )
+            self._move(state, target, taken)
+            stopped += taken
+        self.shutdowns += stopped
         return stopped
 
     def _make_shutdown_completion(self, vm: VM):
@@ -235,6 +256,7 @@ class VMPool:
             if vm.state is VMState.SHUTTING_DOWN:
                 vm.state = VMState.OFF
                 vm.booted_at = None
+                self._move(VMState.SHUTTING_DOWN, VMState.OFF)
 
         return complete
 

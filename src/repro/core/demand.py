@@ -15,8 +15,12 @@ import numpy as np
 
 from repro.p2p.contribution import cloud_supplement, solve_p2p_channel_capacity
 from repro.p2p.coownership import CoOwnershipModel
-from repro.queueing.capacity import CapacityModel, solve_channel_capacity
-from repro.queueing.transitions import empirical_transition_matrix
+from repro.queueing.capacity import (
+    CapacityModel,
+    ChannelCapacityResult,
+    solve_channel_capacity,
+)
+from repro.queueing.transitions import blend_transition_counts, sequential_matrix
 from repro.vod.tracker import IntervalStats
 
 __all__ = ["ChannelDemand", "DemandEstimator", "aggregate_demand"]
@@ -50,7 +54,8 @@ class ChannelDemand:
     def chunk_demands(self) -> Dict[ChunkKey, float]:
         """``{(channel, chunk): Delta}`` mapping for the optimizers."""
         return {
-            (self.channel_id, i): float(d) for i, d in enumerate(self.cloud_demand)
+            (self.channel_id, i): d
+            for i, d in enumerate(self.cloud_demand.tolist())
         }
 
 
@@ -126,48 +131,116 @@ class DemandEstimator:
         output); ``peer_upload`` overrides the measured mean peer upload
         capacity in P2P mode.
         """
-        rate = stats.arrival_rate if arrival_rate is None else arrival_rate
-        rate = max(rate, self.min_arrival_rate)
-        matrix = empirical_transition_matrix(
-            stats.transition_counts,
-            stats.departure_counts,
-            prior=self.prior_matrices.get(stats.channel_id, self.default_prior),
+        overrides = None if arrival_rate is None else {stats.channel_id: arrival_rate}
+        return self.estimate_all(
+            [stats], arrival_rates=overrides, peer_upload=peer_upload
+        )[0]
+
+    def estimate_all(
+        self,
+        interval_stats: Sequence[IntervalStats],
+        *,
+        arrival_rates: Optional[Mapping[int, float]] = None,
+        peer_upload: Optional[float] = None,
+    ) -> List[ChannelDemand]:
+        """Estimate every channel; ``arrival_rates`` maps channel -> rate.
+
+        Channels with the same chunk count are analysed together: their
+        empirical transfer matrices are built as one stack and go through
+        a single batched :func:`solve_channel_capacity` call (which
+        validates each matrix once).  Demands come back in input order.
+        """
+        stats_list = list(interval_stats)
+        overrides = arrival_rates or {}
+        groups: Dict[int, List[int]] = {}
+        for index, stats in enumerate(stats_list):
+            groups.setdefault(stats.transition_counts.shape[0], []).append(index)
+        demands: List[Optional[ChannelDemand]] = [None] * len(stats_list)
+        for members in groups.values():
+            group = [stats_list[index] for index in members]
+            rates = []
+            for stats in group:
+                override = overrides.get(stats.channel_id)
+                rate = stats.arrival_rate if override is None else override
+                rates.append(max(rate, self.min_arrival_rate))
+            alphas = np.array([stats.observed_alpha for stats in group])
+            matrices = blend_transition_counts(
+                np.stack([stats.transition_counts for stats in group]),
+                np.stack([stats.departure_counts for stats in group]),
+                self._group_prior(group),
+            )
+            # Idle channels ride along at rate 0 (their matrices are
+            # validated like every other) and get all-zero demand below.
+            capacity = solve_channel_capacity(
+                self.model,
+                matrices,
+                np.maximum(np.array(rates, dtype=float), 0.0),
+                alpha=alphas,
+            )
+            cloud = capacity.cloud_demand
+            no_peers = np.zeros_like(cloud)
+            for row, (index, stats, rate) in enumerate(zip(members, group, rates)):
+                if rate <= 0:
+                    demands[index] = self._idle_demand(stats)
+                elif self.mode == "client-server":
+                    demands[index] = ChannelDemand(
+                        channel_id=stats.channel_id,
+                        arrival_rate=rate,
+                        servers=capacity.servers[row],
+                        cloud_demand=cloud[row],
+                        peer_bandwidth=no_peers[row],
+                        expected_in_system=capacity.expected_in_system[row],
+                    )
+                else:
+                    demands[index] = self._p2p_demand(
+                        stats, rate, float(alphas[row]),
+                        capacity.channel(row), peer_upload,
+                    )
+        return demands
+
+    def _group_prior(self, group: Sequence[IntervalStats]) -> np.ndarray:
+        """The stacked prior matrices of a same-size group."""
+        default = sequential_matrix(group[0].transition_counts.shape[0], 0.9)
+        priors = [
+            self.prior_matrices.get(stats.channel_id, self.default_prior)
+            for stats in group
+        ]
+        return np.stack([default if prior is None else prior for prior in priors])
+
+    @staticmethod
+    def _idle_demand(stats: IntervalStats) -> ChannelDemand:
+        j = stats.transition_counts.shape[0]
+        zeros = np.zeros(j)
+        return ChannelDemand(
+            channel_id=stats.channel_id,
+            arrival_rate=0.0,
+            servers=np.zeros(j, dtype=int),
+            cloud_demand=zeros,
+            peer_bandwidth=zeros.copy(),
+            expected_in_system=zeros.copy(),
         )
-        alpha = stats.observed_alpha
 
-        if rate <= 0:
-            j = matrix.shape[0]
-            zeros = np.zeros(j)
-            return ChannelDemand(
-                channel_id=stats.channel_id,
-                arrival_rate=0.0,
-                servers=np.zeros(j, dtype=int),
-                cloud_demand=zeros,
-                peer_bandwidth=zeros.copy(),
-                expected_in_system=zeros.copy(),
-            )
-
-        if self.mode == "client-server":
-            result = solve_channel_capacity(self.model, matrix, rate, alpha=alpha)
-            return ChannelDemand(
-                channel_id=stats.channel_id,
-                arrival_rate=rate,
-                servers=result.servers,
-                cloud_demand=result.cloud_demand,
-                peer_bandwidth=np.zeros_like(result.cloud_demand),
-                expected_in_system=result.expected_in_system,
-            )
-
+    def _p2p_demand(
+        self,
+        stats: IntervalStats,
+        rate: float,
+        alpha: float,
+        capacity: ChannelCapacityResult,
+        peer_upload: Optional[float],
+    ) -> ChannelDemand:
+        """Peer contribution and cloud supplement on top of the channel's
+        batched capacity solve."""
         upload = (
             peer_upload if peer_upload is not None else stats.mean_upload_capacity
         )
         p2p = solve_p2p_channel_capacity(
             self.model,
-            matrix,
+            capacity.traffic.transition_matrix,
             rate,
             peer_upload=max(0.0, upload),
             alpha=alpha,
             coownership=self.coownership,
+            capacity=capacity,
         )
         gamma = self.peer_discount * p2p.peer_bandwidth
         delta = cloud_supplement(
@@ -185,28 +258,6 @@ class DemandEstimator:
             peer_bandwidth=gamma,
             expected_in_system=p2p.capacity.little_target,
         )
-
-    def estimate_all(
-        self,
-        interval_stats: Sequence[IntervalStats],
-        *,
-        arrival_rates: Optional[Mapping[int, float]] = None,
-        peer_upload: Optional[float] = None,
-    ) -> List[ChannelDemand]:
-        """Estimate every channel; ``arrival_rates`` maps channel -> rate."""
-        demands = []
-        for stats in interval_stats:
-            override = (
-                arrival_rates.get(stats.channel_id)
-                if arrival_rates is not None
-                else None
-            )
-            demands.append(
-                self.estimate_channel(
-                    stats, arrival_rate=override, peer_upload=peer_upload
-                )
-            )
-        return demands
 
 
 def aggregate_demand(demands: Sequence[ChannelDemand]) -> Dict[ChunkKey, float]:

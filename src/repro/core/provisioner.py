@@ -67,12 +67,23 @@ class ProvisioningDecision:
     demands: List[ChannelDemand]
     vm_plan: VMAllocationPlan
     storage_plan: Optional[StoragePlan]
-    packing: PackingResult
     agreement: Optional[SLAAgreement]
     per_channel_capacity: Dict[int, np.ndarray] = field(default_factory=dict)
     rejected: Optional[str] = None
     cluster_utilities: Dict[str, float] = field(default_factory=dict)
     nfs_utilities: Dict[str, float] = field(default_factory=dict)
+    _packing: Optional[PackingResult] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def packing(self) -> PackingResult:
+        """The concrete VM packing of ``vm_plan``.  Nothing in the
+        control loop consumes it, so it is computed on first read (and
+        cached) rather than every interval."""
+        if self._packing is None:
+            self._packing = pack_allocations(self.vm_plan.allocations)
+        return self._packing
 
     @property
     def total_cloud_demand(self) -> float:
@@ -167,7 +178,6 @@ class ProvisioningController(ProvisioningControllerBase):
             budget_per_hour=self.terms.vm_budget_per_hour,
         )
         vm_plan = greedy_vm_allocation(vm_problem)
-        packing = pack_allocations(vm_plan.allocations)
 
         # --- Storage rental (on significant change) ----------------------
         storage_plan: Optional[StoragePlan] = None
@@ -207,7 +217,6 @@ class ProvisioningController(ProvisioningControllerBase):
             demands=demands,
             vm_plan=vm_plan,
             storage_plan=storage_plan,
-            packing=packing,
             agreement=agreement,
             per_channel_capacity=self._grants_to_channel_arrays(demands, grants),
             rejected=rejected,

@@ -239,9 +239,9 @@ class GeoProvisioningController(ProvisioningControllerBase):
         pooled: Dict[object, float] = {}
         for demand in demands:
             channel = self.slot_channel(demand.channel_id)
-            for i, delta in enumerate(demand.cloud_demand):
+            for i, delta in enumerate(demand.cloud_demand.tolist()):
                 key = (channel, i)
-                pooled[key] = pooled.get(key, 0.0) + float(delta)
+                pooled[key] = pooled.get(key, 0.0) + delta
         return pooled
 
     def _egress_rate(self, plan: GeoAllocationPlan) -> float:

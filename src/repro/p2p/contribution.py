@@ -245,6 +245,7 @@ def solve_p2p_channel_capacity(
     coownership: Optional[CoOwnershipModel] = None,
     demand: str = "viewers",
     accounting: str = "coverage",
+    capacity: Optional[ChannelCapacityResult] = None,
 ) -> P2PCapacityResult:
     """End-to-end P2P capacity analysis for one channel (Section IV-C).
 
@@ -252,10 +253,15 @@ def solve_p2p_channel_capacity(
     ownership (Proposition 1), computes the rarest-first peer contribution
     (Eqn (5)) and finally the cloud supplement Delta_i (see
     :func:`cloud_supplement` for the accounting readings).
+
+    ``capacity`` supplies a client-server analysis already solved for
+    this channel (for example one channel of a batched
+    :func:`solve_channel_capacity` call), skipping the solve.
     """
-    capacity = solve_channel_capacity(
-        model, transition_matrix, external_rate, alpha=alpha
-    )
+    if capacity is None:
+        capacity = solve_channel_capacity(
+            model, transition_matrix, external_rate, alpha=alpha
+        )
     # Anchor populations at the Little target lambda_i * T0: every viewer
     # occupies a playback slot (and keeps uploading) for ~T0 per chunk even
     # when the download itself finishes early, so both the ownership counts

@@ -10,6 +10,9 @@ minimal integer m_i such that
 ``E[n]`` is monotonically decreasing in m for fixed load, so a linear /
 doubling search terminates; the paper's iterative procedure ("initialize
 m to 1, increase until E(n) equals lambda*T0") is the same computation.
+:func:`size_queues` runs that search for any number of queues at once,
+in lock step: one Erlang-B recursion advances every queue's candidate
+server count together, and a queue drops out as soon as it is sized.
 
 The total upload bandwidth to serve chunk i is then s_i = R * m_i, which in
 the client-server mode is exactly the cloud capacity Delta_i to provision.
@@ -17,13 +20,11 @@ the client-server mode is exactly the cloud capacity Delta_i to provision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.queueing.erlang import mmm_expected_number_in_system
 from repro.queueing.jackson import (
     TrafficSolution,
     external_arrival_vector,
@@ -31,7 +32,7 @@ from repro.queueing.jackson import (
 )
 
 __all__ = ["CapacityModel", "ChannelCapacityResult", "required_servers",
-           "solve_channel_capacity"]
+           "size_queues", "solve_channel_capacity"]
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,86 @@ class CapacityModel:
         return 1.0 / self.service_rate
 
 
+def size_queues(
+    arrival_rates: np.ndarray,
+    service_rate: float,
+    target_sojourn: float,
+    *,
+    max_servers: int = 10_000_000,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Size every M/M/m queue of ``arrival_rates`` for a mean sojourn
+    <= ``target_sojourn``.
+
+    Returns ``(servers, in_system)``, both shaped like ``arrival_rates``:
+    the minimal stable server count m per queue and the E[n] the search
+    accepted it at (0 and 0.0 for idle queues).  Raises ``ValueError``
+    when a busy queue's target is below the bare service time 1/mu, or
+    when a queue would need more than ``max_servers``.
+
+    One Erlang-B recursion ``B(k, a) = a B(k-1, a) / (k + a B(k-1, a))``
+    runs for k = 1, 2, ... over all busy queues at once.  A queue with
+    offered load a is a candidate from k = floor(a) + 1 (the smallest
+    stable count) and drops out at the first candidate k whose
+    E[n] = a + C a / (k - a) (Erlang-C conversion C from B) is within
+    lambda * T0, Little's law at the target.  Every queue sees exactly
+    the float sequence the scalar recursion produces, so the recorded
+    E[n] equals ``mmm_expected_number_in_system(m, a)`` bit for bit.
+    """
+    lam = np.asarray(arrival_rates, dtype=float)
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("arrival rates must be finite")
+    servers = np.zeros(lam.shape, dtype=int)
+    in_system = np.zeros(lam.shape, dtype=float)
+    flat_servers = servers.reshape(-1)
+    flat_in_system = in_system.reshape(-1)
+    flat_lam = lam.reshape(-1)
+    idx = np.flatnonzero(flat_lam > 0)
+    if idx.size == 0:
+        return servers, in_system  # an idle queue needs no capacity
+    if target_sojourn < 1.0 / service_rate:
+        raise ValueError(
+            f"target sojourn {target_sojourn} < service time {1.0 / service_rate}; "
+            "no server count can achieve it"
+        )
+    busy = flat_lam[idx]
+    a = busy / service_rate
+    # With infinitely many servers E[n] -> a <= lambda * T0, so every
+    # queue drops out eventually.
+    target = busy * target_sojourn + 1e-12
+    start = np.floor(a) + 1.0  # smallest stable server count
+    if np.any(start > max_servers):
+        raise ValueError(f"exceeded max_servers={max_servers} searching for capacity")
+    b = np.ones_like(a)
+    first = start.min()
+    k = 0
+    # Unstable candidates (k <= a) divide by zero or go negative; they
+    # are never accepted, so their values are ignored.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while idx.size:
+            k += 1
+            if k > max_servers:
+                raise ValueError(
+                    f"exceeded max_servers={max_servers} searching for capacity"
+                )
+            ab = a * b
+            b = ab / (k + ab)  # Erlang-B step: B(k, a) from B(k-1, a)
+            if k < first:
+                continue
+            c = k * b / (k - a * (1.0 - b))  # Erlang-C conversion
+            n = a + c * a / (k - a)  # E[n] = a + Lq
+            done = (n <= target) & (start <= k)
+            if not done.any():
+                continue
+            flat_servers[idx[done]] = k
+            flat_in_system[idx[done]] = n[done]
+            keep = ~done
+            idx, a, b = idx[keep], a[keep], b[keep]
+            target, start = target[keep], start[keep]
+            if idx.size:
+                first = start.min()
+    return servers, in_system
+
+
 def required_servers(
     arrival_rate: float,
     service_rate: float,
@@ -92,7 +173,8 @@ def required_servers(
     Returns 0 when ``arrival_rate`` is 0 (an idle queue needs no capacity).
     Raises ``ValueError`` when the target is infeasible, i.e. smaller than
     the bare service time 1/mu (no number of servers can beat that), or if
-    the search exceeds ``max_servers``.
+    the search exceeds ``max_servers``.  A batch of one
+    :func:`size_queues` call.
     """
     if arrival_rate < 0:
         raise ValueError(f"arrival rate must be >= 0, got {arrival_rate}")
@@ -100,45 +182,39 @@ def required_servers(
         raise ValueError(f"service rate must be > 0, got {service_rate}")
     if target_sojourn <= 0:
         raise ValueError(f"target sojourn must be > 0, got {target_sojourn}")
-    if arrival_rate == 0.0:
-        return 0
-    if target_sojourn < 1.0 / service_rate:
-        raise ValueError(
-            f"target sojourn {target_sojourn} < service time {1.0 / service_rate}; "
-            "no server count can achieve it"
-        )
-
-    offered = arrival_rate / service_rate
-    target_in_system = arrival_rate * target_sojourn  # Little's law
-    m = max(1, math.floor(offered) + 1)  # smallest stable server count
-    # With infinitely many servers E[n] -> offered <= target_in_system,
-    # so the search below terminates.  The Erlang-B recursion is carried
-    # across candidates: B(m, a) extends B(m-1, a) by one step, so the
-    # linear search costs O(m) total instead of O(m^2) while producing
-    # exactly the floats ``mmm_expected_number_in_system(m, offered)``
-    # would (same recursion, same order).
-    a = offered
-    b = 1.0
-    for k in range(1, m):
-        b = a * b / (k + a * b)
-    while m <= max_servers:
-        b = a * b / (m + a * b)  # Erlang-B step: B(m, a) from B(m-1, a)
-        c = m * b / (m - a * (1.0 - b))  # Erlang-C conversion
-        in_system = a + c * a / (m - a)  # E[n] = a + Lq
-        if in_system <= target_in_system + 1e-12:
-            return m
-        m += 1
-    raise ValueError(f"exceeded max_servers={max_servers} searching for capacity")
+    servers, _ = size_queues(
+        np.array([arrival_rate], dtype=float), service_rate, target_sojourn,
+        max_servers=max_servers,
+    )
+    return int(servers[0])
 
 
 @dataclass(frozen=True)
 class ChannelCapacityResult:
-    """Equilibrium capacity demand for one channel (client-server mode)."""
+    """Equilibrium capacity demand for one channel (client-server mode).
+
+    A batched solve returns one result whose arrays carry a leading
+    channel axis; :meth:`channel` slices out one channel's result.
+    """
 
     model: CapacityModel
     traffic: TrafficSolution
     servers: np.ndarray = field(repr=False)  # m_i per chunk queue
     expected_in_system: np.ndarray = field(repr=False)  # E[n_i]
+
+    def channel(self, index: int) -> "ChannelCapacityResult":
+        """Channel ``index`` of a batched result."""
+        traffic = self.traffic
+        return ChannelCapacityResult(
+            model=self.model,
+            traffic=TrafficSolution(
+                arrival_rates=traffic.arrival_rates[index],
+                external_rates=traffic.external_rates[index],
+                transition_matrix=traffic.transition_matrix[index],
+            ),
+            servers=self.servers[index],
+            expected_in_system=self.expected_in_system[index],
+        )
 
     @property
     def arrival_rates(self) -> np.ndarray:
@@ -180,47 +256,46 @@ class ChannelCapacityResult:
 def solve_channel_capacity(
     model: CapacityModel,
     transition_matrix: np.ndarray,
-    external_rate: float,
+    external_rate: float | np.ndarray,
     *,
-    alpha: float = 0.8,
+    alpha: float | np.ndarray = 0.8,
     external_rates: Optional[np.ndarray] = None,
 ) -> ChannelCapacityResult:
     """End-to-end capacity analysis of one channel (paper Section IV-B).
 
     Solves the traffic equations for the channel, then sizes every chunk
-    queue for a mean sojourn time of T0.
+    queue for a mean sojourn time of T0.  Given a stack of matrices
+    ``(N, J, J)`` with one rate (and optionally one alpha) per channel,
+    it analyses all N channels in one batched traffic solve and one
+    lock-step sizing pass (:func:`size_queues`); the result's arrays
+    carry the channel axis first.
 
     Parameters
     ----------
     model:
         Physical parameters (r, T0, R).
     transition_matrix:
-        Chunk-transfer matrix P^(c).
+        Chunk-transfer matrix P^(c), or a stack of them.
     external_rate:
-        Channel arrival rate Lambda^(c), users/second. Ignored when
-        ``external_rates`` is supplied.
+        Channel arrival rate Lambda^(c), users/second (per channel for a
+        stack). Ignored when ``external_rates`` is supplied.
     alpha:
-        Fraction of arrivals starting at chunk 1.
+        Fraction of arrivals starting at chunk 1 (per channel for a stack).
     external_rates:
-        Optional explicit per-chunk external arrival vector; overrides the
-        (``external_rate``, ``alpha``) split.
+        Optional explicit per-chunk external arrival vector (``(N, J)``
+        for a stack); overrides the (``external_rate``, ``alpha``) split.
     """
     p = np.asarray(transition_matrix, dtype=float)
     if external_rates is None:
-        ext = external_arrival_vector(p.shape[0], external_rate, alpha)
+        ext = external_arrival_vector(p.shape[-1], external_rate, alpha)
+        if p.ndim == 3:
+            ext = np.broadcast_to(ext, p.shape[:-1])
     else:
         ext = np.asarray(external_rates, dtype=float)
     traffic = solve_traffic_equations(p, ext)
-
-    mu = model.service_rate
-    t0 = model.chunk_duration
-    servers = np.zeros(p.shape[0], dtype=int)
-    in_system = np.zeros(p.shape[0], dtype=float)
-    for i, lam in enumerate(traffic.arrival_rates):
-        m = required_servers(float(lam), mu, t0)
-        servers[i] = m
-        if m > 0 and lam > 0:
-            in_system[i] = mmm_expected_number_in_system(m, lam / mu)
+    servers, in_system = size_queues(
+        traffic.arrival_rates, model.service_rate, model.chunk_duration
+    )
     return ChannelCapacityResult(
         model=model, traffic=traffic, servers=servers, expected_in_system=in_system
     )

@@ -22,7 +22,9 @@ __all__ = ["external_arrival_vector", "solve_traffic_equations", "TrafficSolutio
 
 
 def external_arrival_vector(
-    num_chunks: int, total_rate: float, alpha: float = 0.8
+    num_chunks: int,
+    total_rate: float | np.ndarray,
+    alpha: float | np.ndarray = 0.8,
 ) -> np.ndarray:
     """External per-chunk arrival rates for a channel (paper Section IV-A).
 
@@ -32,22 +34,26 @@ def external_arrival_vector(
         Number of chunks J in the channel.
     total_rate:
         Channel-level external Poisson arrival rate Lambda (users/second).
+        An array of rates gives one row per channel, shape ``(N, J)``.
     alpha:
         Fraction of arrivals that start watching from the first chunk; the
-        rest start at one of the remaining chunks uniformly.
+        rest start at one of the remaining chunks uniformly.  Scalar, or
+        one value per channel alongside an array of rates.
     """
     if num_chunks <= 0:
         raise ValueError("need at least one chunk")
-    if total_rate < 0:
+    rate = np.asarray(total_rate, dtype=float)
+    start = np.asarray(alpha, dtype=float)
+    if np.any(rate < 0):
         raise ValueError(f"arrival rate must be >= 0, got {total_rate}")
-    if not 0.0 <= alpha <= 1.0:
+    if not np.all((start >= 0.0) & (start <= 1.0)):
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    ext = np.zeros(num_chunks, dtype=float)
+    ext = np.zeros(np.broadcast(rate, start).shape + (num_chunks,), dtype=float)
     if num_chunks == 1:
-        ext[0] = total_rate
+        ext[..., 0] = rate
         return ext
-    ext[0] = alpha * total_rate
-    ext[1:] = (1.0 - alpha) * total_rate / (num_chunks - 1)
+    ext[..., 0] = start * rate
+    ext[..., 1:] = ((1.0 - start) * rate / (num_chunks - 1))[..., None]
     return ext
 
 
@@ -83,21 +89,29 @@ def solve_traffic_equations(
 ) -> TrafficSolution:
     """Solve ``lambda = ext + P^T lambda`` for the per-queue arrival rates.
 
+    A stack of matrices ``(N, J, J)`` with external rates ``(N, J)``
+    solves every channel in one batched call; the solution's arrays then
+    carry the same leading axis.
+
     Raises ``ValueError`` if P is invalid (rows superstochastic or spectral
     radius >= 1) or if external rates are negative.
     """
     p = validate_transition_matrix(transition_matrix)
     ext = np.asarray(external_rates, dtype=float)
-    if ext.shape != (p.shape[0],):
+    if ext.shape != p.shape[:-1]:
         raise ValueError(
             f"external_rates shape {ext.shape} does not match matrix {p.shape}"
         )
     if np.any(ext < 0):
         raise ValueError("external arrival rates must be nonnegative")
 
-    identity = np.eye(p.shape[0])
+    identity = np.eye(p.shape[-1])
     # (I - P^T) lambda = ext ; nonsingular because spectral radius(P) < 1.
-    rates = np.linalg.solve(identity - p.T, ext)
+    # The right-hand side is passed as a one-column matrix so a single
+    # matrix and a stack take the same LAPACK path.
+    rates = np.linalg.solve(
+        identity - np.swapaxes(p, -1, -2), ext[..., None]
+    )[..., 0]
     # Numerical noise can introduce tiny negatives; clamp them.
     rates = np.where(rates < 0, 0.0, rates)
     return TrafficSolution(

@@ -27,6 +27,7 @@ __all__ = [
     "uniform_jump_matrix",
     "skip_forward_matrix",
     "mixture_matrix",
+    "blend_transition_counts",
     "empirical_transition_matrix",
     "TransitionModel",
 ]
@@ -38,31 +39,46 @@ def validate_transition_matrix(matrix: np.ndarray, *, tol: float = _TOL) -> np.n
     """Validate and return P as a float ndarray.
 
     Checks: square, entries in [0, 1], rows substochastic, and spectral
-    radius < 1 (every viewer eventually departs).
+    radius < 1 (every viewer eventually departs).  A stack of matrices
+    (leading batch axis, shape ``(N, J, J)``) is validated matrix by
+    matrix in one pass; errors name the offending matrix.
     """
     p = np.asarray(matrix, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+    if p.ndim not in (2, 3) or p.shape[-1] != p.shape[-2]:
         raise ValueError(f"transition matrix must be square, got shape {p.shape}")
-    if np.any(p < -tol) or np.any(p > 1 + tol):
-        raise ValueError("transition probabilities must lie in [0, 1]")
-    row_sums = p.sum(axis=1)
-    if np.any(row_sums > 1 + tol):
-        bad = int(np.argmax(row_sums))
+    stack = p.reshape((-1,) + p.shape[-2:])
+
+    def label(index: int) -> str:
+        return f"matrix {index}: " if p.ndim == 3 else ""
+
+    bad = np.any((stack < -tol) | (stack > 1 + tol), axis=(1, 2))
+    if np.any(bad):
         raise ValueError(
-            f"row {bad} sums to {row_sums[bad]:.6f} > 1; rows must be substochastic"
+            f"{label(int(np.argmax(bad)))}transition probabilities must lie in [0, 1]"
+        )
+    row_sums = stack.sum(axis=2)
+    over = np.any(row_sums > 1 + tol, axis=1)
+    if np.any(over):
+        k = int(np.argmax(over))
+        row = int(np.argmax(row_sums[k]))
+        raise ValueError(
+            f"{label(k)}row {row} sums to {row_sums[k, row]:.6f} > 1; "
+            "rows must be substochastic"
         )
     if p.size:
         # The spectral radius is bounded by the inf-norm; when every
         # absolute row sum is safely below 1 the eigenvalue solve is
         # conclusive without being computed (the common case: empirical
         # matrices always carry departure mass).
-        bound = float(np.max(np.abs(p).sum(axis=1)))
-        if bound >= 1 - 1e-12:
-            radius = float(np.max(np.abs(np.linalg.eigvals(p))))
-            if radius >= 1 - 1e-12:
+        bound = np.max(np.abs(stack).sum(axis=2), axis=1)
+        suspect = np.flatnonzero(bound >= 1 - 1e-12)
+        if suspect.size:
+            radius = np.max(np.abs(np.linalg.eigvals(stack[suspect])), axis=1)
+            if np.any(radius >= 1 - 1e-12):
+                k = int(np.argmax(radius >= 1 - 1e-12))
                 raise ValueError(
-                    f"spectral radius {radius:.6f} >= 1: users would "
-                    "never depart"
+                    f"{label(int(suspect[k]))}spectral radius "
+                    f"{radius[k]:.6f} >= 1: users would never depart"
                 )
     return np.clip(p, 0.0, 1.0)
 
@@ -168,6 +184,44 @@ def mixture_matrix(
     return mixed
 
 
+def blend_transition_counts(
+    transition_counts: np.ndarray,
+    departure_counts: np.ndarray,
+    prior: np.ndarray,
+    *,
+    prior_strength: float = 1.0,
+) -> np.ndarray:
+    """Blend observed transition counts with a prior, unvalidated.
+
+    The arithmetic of :func:`empirical_transition_matrix`, for one
+    channel (``(J, J)`` counts and prior) or a stack of channels
+    (``(N, J, J)`` counts and priors, ``(N, J)`` departures).  Callers
+    that validate downstream (the capacity solver does) skip the second
+    validation pass by calling this directly.
+    """
+    counts = np.asarray(transition_counts, dtype=float)
+    departures = np.asarray(departure_counts, dtype=float)
+    prior = np.asarray(prior, dtype=float)
+    if counts.ndim not in (2, 3) or counts.shape[-1] != counts.shape[-2]:
+        raise ValueError("transition_counts must be square")
+    if departures.shape != counts.shape[:-1]:
+        raise ValueError("departure_counts must have one entry per chunk")
+    if np.any(counts < 0) or np.any(departures < 0):
+        raise ValueError("counts must be nonnegative")
+    if prior.shape != counts.shape:
+        raise ValueError("prior must match transition_counts shape")
+
+    # Blend observed frequencies with the prior row (including its
+    # departure mass, which appears as a row deficit); rows with no
+    # observations fall back to the prior verbatim.  Vectorized over
+    # rows (and channels) — elementwise-identical to the per-row formula.
+    row_totals = counts.sum(axis=-1) + departures
+    denom = row_totals + prior_strength
+    with np.errstate(divide="ignore", invalid="ignore"):
+        blended = (counts + prior_strength * prior) / denom[..., None]
+    return np.where((row_totals > 0)[..., None], blended, prior)
+
+
 def empirical_transition_matrix(
     transition_counts: np.ndarray,
     departure_counts: np.ndarray,
@@ -185,31 +239,13 @@ def empirical_transition_matrix(
     viewing model.
     """
     counts = np.asarray(transition_counts, dtype=float)
-    departures = np.asarray(departure_counts, dtype=float)
     if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
         raise ValueError("transition_counts must be square")
-    if departures.shape != (counts.shape[0],):
-        raise ValueError("departure_counts must have one entry per chunk")
-    if np.any(counts < 0) or np.any(departures < 0):
-        raise ValueError("counts must be nonnegative")
-
-    n = counts.shape[0]
     if prior is None:
-        prior = sequential_matrix(n, continue_prob=0.9)
-    prior = np.asarray(prior, dtype=float)
-    if prior.shape != counts.shape:
-        raise ValueError("prior must match transition_counts shape")
-
-    # Blend observed frequencies with the prior row (including its
-    # departure mass, which appears as a row deficit); rows with no
-    # observations fall back to the prior verbatim.  Vectorized over
-    # rows — elementwise-identical to the per-row formula.
-    row_totals = counts.sum(axis=1) + departures
-    denom = row_totals + prior_strength
-    with np.errstate(divide="ignore", invalid="ignore"):
-        blended = (counts + prior_strength * prior) / denom[:, None]
-    p = np.where((row_totals > 0)[:, None], blended, prior)
-    return validate_transition_matrix(p)
+        prior = sequential_matrix(counts.shape[0], continue_prob=0.9)
+    return validate_transition_matrix(blend_transition_counts(
+        counts, departure_counts, prior, prior_strength=prior_strength
+    ))
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,10 @@ from __future__ import annotations
 
 import math
 import multiprocessing as mp
+import signal
 import time
 import traceback
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -510,6 +512,25 @@ def report_from_views(
 # Worker processes
 # ----------------------------------------------------------------------
 
+#: Parent-side ends of every open worker pipe in this process.  A forked
+#: worker inherits all of them -- its own pipe's and those of workers
+#: (of any engine) started before it -- and closes them first thing, so
+#: the parent's death is an EOF on the worker's ``recv()``.
+_PARENT_ENDS: "weakref.WeakSet" = weakref.WeakSet()
+
+
+def _detach_from_parent() -> None:
+    """Drop what a forked worker inherits from its parent's process
+    state: the parent ends of the worker pipes, and the signal setup of
+    a host such as ``repro serve`` (whose asyncio handlers would make the
+    worker ignore SIGTERM and write the signal into the parent's event
+    loop wake-up pipe)."""
+    for end in list(_PARENT_ENDS):
+        end.close()
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _worker_main(conn, config: CatalogConfig, shard_indices: List[int],
                  shard_states: Optional[List[ChannelShard]] = None,
                  shm_name: Optional[str] = None) -> None:
@@ -528,6 +549,7 @@ def _worker_main(conn, config: CatalogConfig, shard_indices: List[int],
     segment's unlink, so no worker exit path can leak ``/dev/shm``
     blocks or trip the resource tracker.
     """
+    _detach_from_parent()
     segment = None
     try:
         if shard_states is not None:
@@ -972,6 +994,7 @@ class ShardedSimulator:
         ]
         for owned in assignments:
             parent_conn, child_conn = mp.Pipe()
+            _PARENT_ENDS.add(parent_conn)
             owned_states = [built[i] for i in owned]
             worker = mp.Process(
                 target=_worker_main,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.queueing.capacity import (
     CapacityModel,
     required_servers,
+    size_queues,
     solve_channel_capacity,
 )
 from repro.queueing.erlang import (
@@ -146,3 +147,163 @@ class TestChannelCapacity:
             model, p, external_rate=0.0, external_rates=ext
         )
         assert result.traffic.external_rates == pytest.approx(ext)
+
+
+# ----------------------------------------------------------------------
+# Batched (stacked) solve: byte parity with per-matrix calls
+# ----------------------------------------------------------------------
+def scalar_search(lam, mu, t, max_servers=10_000_000):
+    """The one-queue linear Erlang-B search, kept as an oracle for the
+    lock-step sizing: (m, E[n] at m) for one queue."""
+    if lam == 0.0:
+        return 0, 0.0
+    a = lam / mu
+    target = lam * t
+    m = max(1, int(np.floor(a)) + 1)
+    b = 1.0
+    for k in range(1, m):
+        b = a * b / (k + a * b)
+    while m <= max_servers:
+        b = a * b / (m + a * b)
+        c = m * b / (m - a * (1.0 - b))
+        in_system = a + c * a / (m - a)
+        if in_system <= target + 1e-12:
+            assert in_system == mmm_expected_number_in_system(m, a)
+            return m, in_system
+        m += 1
+    raise ValueError("max_servers")
+
+
+@st.composite
+def channel_stacks(draw):
+    """(matrices (N, J, J), rates (N,), alphas (N,)): substochastic
+    matrices with departure mass, some idle channels."""
+    j = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 5))
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    raw = np.array(draw(st.lists(unit, min_size=n * j * j, max_size=n * j * j)))
+    leave = np.array(draw(st.lists(
+        st.floats(0.01, 3.0), min_size=n * j, max_size=n * j
+    )))
+    mats = raw.reshape(n, j, j)
+    mats = mats / (mats.sum(axis=2) + leave.reshape(n, j))[..., None]
+    rates = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-4, 20.0)), min_size=n, max_size=n
+    )))
+    alphas = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    return mats, rates, alphas
+
+
+MODEL = CapacityModel(streaming_rate=r, chunk_duration=T0, vm_bandwidth=R)
+
+
+def assert_same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestBatchedSolve:
+    @given(stack=channel_stacks())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_per_matrix_calls(self, stack):
+        model = MODEL
+        mats, rates, alphas = stack
+        batch = solve_channel_capacity(model, mats, rates, alpha=alphas)
+        assert batch.servers.shape == rates.shape + (mats.shape[1],)
+        for k in range(len(rates)):
+            one = solve_channel_capacity(
+                model, mats[k], float(rates[k]), alpha=float(alphas[k])
+            )
+            assert_same_bytes(batch.arrival_rates[k], one.arrival_rates)
+            assert_same_bytes(batch.servers[k], one.servers)
+            assert_same_bytes(batch.expected_in_system[k], one.expected_in_system)
+            sliced = batch.channel(k)
+            assert_same_bytes(sliced.servers, one.servers)
+            assert_same_bytes(sliced.cloud_demand, one.cloud_demand)
+            assert_same_bytes(sliced.little_target, one.little_target)
+
+    @given(stack=channel_stacks())
+    @settings(max_examples=40, deadline=None)
+    def test_lock_step_matches_scalar_search(self, stack):
+        model = MODEL
+        mats, rates, alphas = stack
+        batch = solve_channel_capacity(model, mats, rates, alpha=alphas)
+        mu, t0 = model.service_rate, model.chunk_duration
+        for lam, m, n in zip(batch.arrival_rates.ravel(),
+                             batch.servers.ravel(),
+                             batch.expected_in_system.ravel()):
+            want_m, want_n = scalar_search(float(lam), mu, t0)
+            assert m == want_m
+            assert_same_bytes(np.float64(n), np.float64(want_n))
+
+    @given(lams=st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-3, 200.0)), min_size=1, max_size=12
+    ))
+    @settings(max_examples=40, deadline=None)
+    def test_size_queues_matches_scalar_search(self, lams):
+        mu, t = 1.0 / 12.0, 300.0
+        servers, in_system = size_queues(np.array(lams), mu, t)
+        for lam, m, n in zip(lams, servers, in_system):
+            want_m, want_n = scalar_search(lam, mu, t)
+            assert m == want_m == required_servers(lam, mu, t)
+            assert_same_bytes(np.float64(n), np.float64(want_n))
+
+    def test_zero_rate_and_single_chunk_channels(self, model):
+        mats = np.array([[[0.0]], [[0.5]], [[0.0]]])
+        rates = np.array([0.0, 0.7, 1.5])
+        batch = solve_channel_capacity(model, mats, rates, alpha=1.0)
+        assert batch.servers[0].tolist() == [0]
+        assert batch.expected_in_system[0].tolist() == [0.0]
+        for k in range(3):
+            one = solve_channel_capacity(model, mats[k], float(rates[k]))
+            assert_same_bytes(batch.servers[k], one.servers)
+            assert_same_bytes(batch.expected_in_system[k], one.expected_in_system)
+        # A stack whose every channel is idle sizes nothing.
+        idle = solve_channel_capacity(
+            model, np.stack([sequential_matrix(3)] * 2), np.zeros(2)
+        )
+        assert idle.servers.sum() == 0 and idle.servers.dtype == int
+
+    def test_eigvals_fallback_in_a_stack(self, model):
+        # Row 0 sums to exactly 1 (inf-norm bound 1), but the matrix is
+        # nilpotent: spectral radius 0, so the fallback accepts it.
+        nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+        ordinary = sequential_matrix(2, 0.5)
+        stack = np.stack([ordinary, nilpotent])
+        batch = solve_channel_capacity(model, stack, np.array([0.4, 0.4]))
+        one = solve_channel_capacity(model, nilpotent, 0.4)
+        assert_same_bytes(batch.servers[1], one.servers)
+        assert_same_bytes(batch.arrival_rates[1], one.arrival_rates)
+        # A stochastic matrix (radius 1) is rejected, naming its index.
+        cyclic = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="matrix 1: spectral radius"):
+            solve_channel_capacity(
+                model, np.stack([ordinary, cyclic]), np.array([0.4, 0.4])
+            )
+        with pytest.raises(ValueError, match="depart"):
+            solve_channel_capacity(model, cyclic, 0.4)
+
+    def test_max_servers_error(self):
+        mu, t = 1.0 / 12.0, 300.0
+        # a = 50 needs at least 51 servers.
+        with pytest.raises(ValueError, match="max_servers=10"):
+            required_servers(50 * mu, mu, t, max_servers=10)
+        with pytest.raises(ValueError, match="max_servers=10"):
+            size_queues(np.array([0.1 * mu, 50 * mu]), mu, t, max_servers=10)
+        # The bound is inclusive: 51 servers fit under max_servers=51.
+        assert required_servers(50 * mu, mu, t, max_servers=51) == 51
+        # A target that forces the search past the first stable count
+        # fails inside the lock-step loop rather than up front.
+        with pytest.raises(ValueError, match="max_servers=2"):
+            size_queues(np.array([1.5 * mu]), mu, 1.0 / mu + 1e-3, max_servers=2)
+
+    def test_scalar_errors_kept(self):
+        with pytest.raises(ValueError, match="arrival rate"):
+            required_servers(-1.0, 0.5, 10.0)
+        with pytest.raises(ValueError, match="service rate"):
+            required_servers(1.0, 0.0, 10.0)
+        with pytest.raises(ValueError, match="target sojourn"):
+            required_servers(1.0, 0.5, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            size_queues(np.array([np.nan]), 0.5, 10.0)

@@ -166,3 +166,53 @@ class TestP2PControl:
         ch1 = decision.aggregate_vm_utility(1)
         assert total == pytest.approx(ch0 + ch1)
         assert decision.aggregate_storage_utility(0) >= 0.0
+
+
+class TestPackingOnRead:
+    def test_packing_matches_plan_and_is_cached(self, monkeypatch):
+        import repro.core.provisioner as provisioner_mod
+
+        calls = []
+        real = provisioner_mod.pack_allocations
+
+        def counting(allocations):
+            calls.append(1)
+            return real(allocations)
+
+        monkeypatch.setattr(provisioner_mod, "pack_allocations", counting)
+        controller, tracker, _ = make_controller()
+        feed_interval(tracker)
+        decision = controller.run_interval(3600.0)
+        assert calls == []  # provisioning never packs
+        packing = decision.packing
+        assert packing == real(decision.vm_plan.allocations)
+        assert packing.total_vms > 0
+        assert decision.packing is packing
+        assert calls == [1]
+
+    @pytest.mark.parametrize("read_packing", [False, True])
+    def test_checkpoint_resume_identical_either_way(self, tmp_path, read_packing):
+        from repro.api import EngineConfig, open_run, resume
+        from repro.service.artifact import artifact_bytes, result_payload, sha256_hex
+        from repro.workload.catalog import catalog_config
+
+        config = EngineConfig(spec=catalog_config(
+            num_channels=6, chunks_per_channel=4, horizon_hours=0.5,
+            arrival_rate=0.5, num_shards=2, dt=60.0, interval_minutes=10.0,
+        ))
+
+        def digest(result):
+            return sha256_hex(artifact_bytes(result_payload(config.kind, result)))
+
+        with open_run(config) as run:
+            reference = digest(run.result())
+        path = tmp_path / "run.ckpt"
+        with open_run(config) as run:
+            run.advance()
+            run.advance()
+            if read_packing:
+                for decision in run._engine.controller.decisions:
+                    assert decision.packing is not None
+            run.checkpoint(path)
+        with resume(path) as tail:
+            assert digest(tail.result()) == reference

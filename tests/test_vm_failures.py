@@ -1,9 +1,11 @@
 """Failure injection: VM boot failures and the scheduler's retry path."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud.cluster import VirtualClusterSpec
-from repro.cloud.vm import VMPool
+from repro.cloud.vm import VMPool, VMState
 from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng
 
@@ -71,3 +73,51 @@ class TestBootFailures:
             pool.launch(20)
             counts.append(pool.boot_failures)
         assert counts[0] == counts[1]
+
+
+# ----------------------------------------------------------------------
+# O(1) state counters
+# ----------------------------------------------------------------------
+OPERATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["launch", "shutdown", "scale_to", "wait"]),
+        st.integers(0, 14),
+    ),
+    max_size=40,
+)
+
+
+def assert_counters_match_walk(pool):
+    for state in VMState:
+        walked = sum(1 for vm in pool.vms if vm.state is state)
+        assert pool.count(state) == walked, state
+    assert pool.running == pool.count(VMState.RUNNING)
+    assert pool.booting == pool.count(VMState.BOOTING)
+    assert pool.active == pool.running + pool.booting
+    assert pool.available_to_launch == pool.count(VMState.OFF)
+
+
+class TestStateCounters:
+    @given(
+        operations=OPERATIONS,
+        timed=st.booleans(),
+        failure_rate=st.sampled_from([0.0, 0.3, 0.8]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_counters_equal_a_walk_after_every_operation(
+        self, operations, timed, failure_rate, seed
+    ):
+        sim = Simulator() if timed else None
+        pool = VMPool(
+            spec(max_vms=12), sim,
+            boot_failure_rate=failure_rate, rng=make_rng(seed, "boot"),
+        )
+        assert_counters_match_walk(pool)
+        for name, amount in operations:
+            if name == "wait":
+                if sim is not None:  # let boots and shutdowns complete
+                    sim.run(until=sim.now + amount * 5.0)
+            else:
+                getattr(pool, name)(amount)
+            assert_counters_match_walk(pool)
