@@ -16,11 +16,12 @@ Packages
     Demand estimation, storage/VM rental optimizers, and the dynamic
     provisioning controller (Section V).
 ``repro.cloud``
-    The IaaS cloud substrate: clusters, VM lifecycle, schedulers, broker,
-    SLA negotiation, billing (Section III-A).
+    The IaaS cloud substrate: clusters, VM pools, the facility and NFS
+    scheduler, broker, SLA negotiation, billing (Section III-A).
 ``repro.vod``
-    The multi-channel VoD substrate: users, tracker, overlay, delivery
-    models, fluid and event-driven simulators (Sections III-B, VI).
+    The multi-channel VoD substrate: users, tracker, delivery models,
+    the fused catalog kernel, fluid and event-driven simulators
+    (Sections III-B, VI).
 ``repro.workload``
     Synthetic workload generation matching the paper's trace (Section
     VI-A).

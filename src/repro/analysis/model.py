@@ -47,7 +47,7 @@ class Finding:
     rule: str  # e.g. "DET001"
     message: str
     hint: str  # how to fix (or sanction) it
-    context: str  # enclosing qualname, e.g. "MeshOverlay.__init__"
+    context: str  # enclosing qualname, e.g. "VMPool.__init__"
     snippet: str  # the flagged source line, stripped
 
     @property

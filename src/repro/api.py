@@ -71,8 +71,9 @@ __all__ = [
 
 #: Bump when the checkpoint payload layout changes; old checkpoints then
 #: fail loudly instead of being misread.  Schema 2 added
-#: :attr:`EngineConfig.controller`.
-CHECKPOINT_SCHEMA = 2
+#: :attr:`EngineConfig.controller`; schema 3 stores each VM pool as a
+#: slot-state array and drops the facility's VM monitor.
+CHECKPOINT_SCHEMA = 3
 
 #: The deprecated environment fallback for :attr:`EngineConfig.workers`.
 WORKERS_ENV_VAR = "REPRO_CATALOG_JOBS"
@@ -660,13 +661,23 @@ def resume(
     files you (or something you trust) wrote.
     """
     with open(path, "rb") as handle:
-        payload = pickle.load(handle)
+        try:
+            payload = pickle.load(handle)
+        except (pickle.UnpicklingError, EOFError, AttributeError,
+                ImportError) as exc:
+            # A truncated file, or state whose classes this version no
+            # longer has (an older schema).
+            raise ValueError(
+                f"{path} is not a repro checkpoint or its schema is not "
+                f"supported (this version reads schema {CHECKPOINT_SCHEMA}): "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
     if not isinstance(payload, dict) or \
             payload.get("format") != "repro-checkpoint":
         raise ValueError(f"{path} is not a repro checkpoint")
     if payload.get("schema") != CHECKPOINT_SCHEMA:
         raise ValueError(
-            f"checkpoint schema {payload.get('schema')!r} is not "
+            f"checkpoint schema {payload.get('schema')!r} of {path} is not "
             f"supported (this version reads schema {CHECKPOINT_SCHEMA})"
         )
     config: EngineConfig = payload["config"]

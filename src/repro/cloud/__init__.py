@@ -6,15 +6,15 @@ the simulated equivalent, with the same functional modules:
 * :mod:`repro.cloud.cluster` — virtual-cluster and NFS-cluster descriptions
   (Tables II and III).
 * :mod:`repro.cloud.vm` — VM lifecycle state machine (OFF -> BOOTING ->
-  RUNNING -> SHUTTING_DOWN -> OFF) with the measured ~25 s boot latency,
-  and per-cluster VM pools.
-* :mod:`repro.cloud.scheduler` — the VM scheduler and NFS scheduler that
-  apply allocation decisions.
+  RUNNING -> SHUTTING_DOWN -> OFF) with the measured ~25 s boot latency;
+  one per-cluster VM pool is one slot-state array.
+* :mod:`repro.cloud.scheduler` — the cloud facility, which applies
+  allocation decisions to the VM pools (the paper's VM scheduler) and,
+  through the NFS scheduler, to the NFS clusters.
 * :mod:`repro.cloud.broker` — broker, request monitor and SLA negotiator:
   the consumer-facing request path.
 * :mod:`repro.cloud.billing` — usage metering and cost accounting under the
   per-time-unit charging model.
-* :mod:`repro.cloud.monitor` — VM monitor collecting utilization samples.
 """
 
 from repro.cloud.billing import BillingMeter, CostReport
@@ -26,10 +26,8 @@ from repro.cloud.broker import (
     SLANegotiator,
 )
 from repro.cloud.cluster import NFSClusterSpec, VirtualClusterSpec
-from repro.cloud.loadbalancer import LoadBalancer, LoadReport
-from repro.cloud.monitor import VMMonitor
-from repro.cloud.scheduler import CloudFacility, NFSScheduler, VMScheduler
-from repro.cloud.vm import VM, VMPool, VMState
+from repro.cloud.scheduler import CloudFacility, NFSScheduler
+from repro.cloud.vm import VMPool, VMState
 
 __all__ = [
     "BillingMeter",
@@ -41,13 +39,8 @@ __all__ = [
     "SLANegotiator",
     "NFSClusterSpec",
     "VirtualClusterSpec",
-    "LoadBalancer",
-    "LoadReport",
-    "VMMonitor",
     "CloudFacility",
     "NFSScheduler",
-    "VMScheduler",
-    "VM",
     "VMPool",
     "VMState",
 ]

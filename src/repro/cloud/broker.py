@@ -7,7 +7,7 @@ the broker:
 2. the request monitor hands it to the SLA negotiator;
 3. the negotiator checks prices/availability against the provider's policy
    and either returns an :class:`SLAAgreement` or rejects the request;
-4. accepted agreements are applied through the facility's schedulers.
+4. accepted agreements are applied by the facility.
 
 This mirrors the paper's separation between *deciding* an allocation (done
 by the consumer, Section V) and *applying* it (done by the provider).

@@ -1,9 +1,11 @@
-"""VM and NFS schedulers, and the assembled cloud facility (paper Fig. 1).
+"""The NFS scheduler and the assembled cloud facility (paper Fig. 1).
 
-The schedulers receive allocation decisions (per-cluster VM counts, chunk ->
-NFS-cluster placements) from the request path and apply them to the pools.
-:class:`CloudFacility` wires the pools, schedulers, billing meter and
-monitor into one object that plays the role of the paper's cloud provider.
+The facility receives allocation decisions (per-cluster VM counts, chunk ->
+NFS-cluster placements) from the request path and applies them: VM counts
+to its pools (the paper's VM scheduler), placements through the
+:class:`NFSScheduler`. :class:`CloudFacility` wires the pools, the NFS
+scheduler and the billing meter into one object that plays the role of
+the paper's cloud provider.
 """
 
 from __future__ import annotations
@@ -13,42 +15,11 @@ from typing import Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 from repro.cloud.billing import BillingMeter
 from repro.cloud.cluster import NFSClusterSpec, VirtualClusterSpec
-from repro.cloud.monitor import VMMonitor
 from repro.cloud.vm import VMPool
-from repro.sim.engine import Simulator
 
-__all__ = ["VMScheduler", "NFSScheduler", "CloudFacility"]
+__all__ = ["NFSScheduler", "CloudFacility"]
 
 ChunkKey = Hashable  # typically a (channel_id, chunk_index) tuple
-
-
-class VMScheduler:
-    """Applies per-cluster VM count targets to the VM pools."""
-
-    def __init__(self, pools: Mapping[str, VMPool]) -> None:
-        self.pools = dict(pools)
-
-    def apply(self, targets: Mapping[str, int]) -> Dict[str, int]:
-        """Scale each named pool toward its target active count.
-
-        Unknown cluster names raise; clusters absent from ``targets`` are
-        left untouched. Returns the signed change per cluster.
-        """
-        changes: Dict[str, int] = {}
-        for name, target in targets.items():
-            if name not in self.pools:
-                raise KeyError(f"unknown virtual cluster {name!r}")
-            changes[name] = self.pools[name].scale_to(int(target))
-        return changes
-
-    def active_counts(self) -> Dict[str, int]:
-        return {name: pool.active for name, pool in self.pools.items()}
-
-    def running_counts(self) -> Dict[str, int]:
-        return {name: pool.running for name, pool in self.pools.items()}
-
-    def total_running_bandwidth(self) -> float:
-        return sum(pool.running_bandwidth() for pool in self.pools.values())
 
 
 @dataclass
@@ -126,31 +97,26 @@ class NFSScheduler:
 
 
 class CloudFacility:
-    """The assembled cloud provider: pools + schedulers + billing + monitor.
+    """The assembled cloud provider: VM pools + NFS scheduler + billing.
 
     Parameters
     ----------
     vm_clusters / nfs_clusters:
         Cluster descriptions in declaration order (order matters only for
         deterministic reporting).
-    simulator:
-        Optional shared simulator; enables timed VM boot latency and
-        simulated-time billing.
+    clock:
+        Supplies the current time (e.g. the fluid VoD simulator's clock),
+        so billing accrues over simulated time while VM transitions stay
+        instant; without it the facility's time stays 0.
     """
 
     def __init__(
         self,
         vm_clusters: Sequence[VirtualClusterSpec],
         nfs_clusters: Sequence[NFSClusterSpec],
-        simulator: Optional[Simulator] = None,
         *,
-        boot_seconds: float = 25.0,
-        shutdown_seconds: float = 10.0,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        """``clock`` supplies the current time when no event simulator is
-        attached (e.g. the fluid VoD simulator's clock), so billing still
-        accrues over simulated time while VM transitions stay instant."""
         names = [spec.name for spec in vm_clusters]
         if len(set(names)) != len(names):
             raise ValueError("virtual cluster names must be unique")
@@ -158,7 +124,6 @@ class CloudFacility:
         if len(set(nfs_names)) != len(nfs_names):
             raise ValueError("NFS cluster names must be unique")
 
-        self.simulator = simulator
         self.clock = clock
         self.vm_specs: Dict[str, VirtualClusterSpec] = {
             spec.name: spec for spec in vm_clusters
@@ -167,33 +132,32 @@ class CloudFacility:
             spec.name: spec for spec in nfs_clusters
         }
         self.pools: Dict[str, VMPool] = {
-            spec.name: VMPool(
-                spec,
-                simulator,
-                boot_seconds=boot_seconds,
-                shutdown_seconds=shutdown_seconds,
-            )
-            for spec in vm_clusters
+            spec.name: VMPool(spec) for spec in vm_clusters
         }
-        self.vm_scheduler = VMScheduler(self.pools)
         self.nfs_scheduler = NFSScheduler(self.nfs_specs)
         self.billing = BillingMeter(
             self.vm_specs, self.nfs_specs, start_time=self.now()
         )
-        self.monitor = VMMonitor(self.pools)
 
     # ------------------------------------------------------------------
     def now(self) -> float:
-        if self.simulator is not None:
-            return self.simulator.now
-        if self.clock is not None:
-            return float(self.clock())
-        return 0.0
+        return float(self.clock()) if self.clock is not None else 0.0
 
     def apply_vm_targets(self, targets: Mapping[str, int]) -> Dict[str, int]:
-        """Scale pools and record the new billing levels."""
-        changes = self.vm_scheduler.apply(targets)
-        self.billing.record_vm_usage(self.now(), self.vm_scheduler.active_counts())
+        """Scale each named pool toward its target active count and record
+        the new billing levels.
+
+        Unknown cluster names raise; clusters absent from ``targets`` are
+        left untouched. Returns the signed change per cluster.
+        """
+        changes: Dict[str, int] = {}
+        for name, target in targets.items():
+            if name not in self.pools:
+                raise KeyError(f"unknown virtual cluster {name!r}")
+            changes[name] = self.pools[name].scale_to(int(target))
+        self.billing.record_vm_usage(
+            self.now(), {name: pool.active for name, pool in self.pools.items()}
+        )
         return changes
 
     def apply_storage_placement(
@@ -202,10 +166,6 @@ class CloudFacility:
         """Place chunks and record the new storage billing levels."""
         self.nfs_scheduler.apply(placement)
         self.billing.record_storage_usage(self.now(), self.nfs_scheduler.stored_bytes())
-
-    def running_bandwidth(self) -> float:
-        """Total bandwidth of RUNNING VMs, bytes/second."""
-        return self.vm_scheduler.total_running_bandwidth()
 
     def total_active_vms(self) -> int:
         return sum(pool.active for pool in self.pools.values())

@@ -6,64 +6,39 @@ state (as in the paper) and transition
 
     OFF -> BOOTING -> RUNNING -> SHUTTING_DOWN -> OFF
 
-under control of the VM scheduler. Pools can run attached to a
-:class:`repro.sim.Simulator` (boot latency becomes simulated time) or in
-*instant* mode for the analytical experiments that do not care about the
-seconds-scale transient.
+under control of the cloud facility. A pool is one slot-state array: slot
+``i`` holds the :class:`VMState` of the cluster's ``i``-th VM. Pools can
+run attached to a :class:`repro.sim.Simulator` (boot latency becomes
+simulated time) or in *instant* mode for the analytical experiments that
+do not care about the seconds-scale transient.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import functools
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.cloud.cluster import VirtualClusterSpec
 from repro.sim.engine import Simulator
+from repro.sim.events import Event
 
-__all__ = ["VMState", "VM", "VMPool", "DEFAULT_BOOT_SECONDS",
+__all__ = ["VMState", "VMPool", "DEFAULT_BOOT_SECONDS",
            "DEFAULT_SHUTDOWN_SECONDS"]
 
 DEFAULT_BOOT_SECONDS = 25.0  # measured in the paper, Section VI-C
 DEFAULT_SHUTDOWN_SECONDS = 10.0  # "even less time to shut it down"
 
 
-class VMState(enum.Enum):
-    """Lifecycle states of a pre-deployed VM."""
+class VMState(enum.IntEnum):
+    """Lifecycle states of a pre-deployed VM (the slot-array codes)."""
 
-    OFF = "off"
-    BOOTING = "booting"
-    RUNNING = "running"
-    SHUTTING_DOWN = "shutting_down"
-
-
-@dataclass
-class VM:
-    """One virtual machine instance.
-
-    The ``assignment`` field records which (channel, chunk) demands the VM
-    currently serves, as fractional bandwidth shares summing to <= 1; the
-    VM packer (:mod:`repro.core.packing`) fills it.
-    """
-
-    vm_id: int
-    cluster: str
-    state: VMState = VMState.OFF
-    booted_at: Optional[float] = None
-    assignment: Dict[object, float] = field(default_factory=dict)
-
-    @property
-    def is_usable(self) -> bool:
-        return self.state is VMState.RUNNING
-
-    def clear_assignment(self) -> None:
-        self.assignment.clear()
-
-    def assigned_fraction(self) -> float:
-        return float(sum(self.assignment.values()))
+    OFF = 0
+    BOOTING = 1
+    RUNNING = 2
+    SHUTTING_DOWN = 3
 
 
 class VMPool:
@@ -80,8 +55,6 @@ class VMPool:
         Transition latencies used in simulator mode.
     """
 
-    _ids = itertools.count(1)
-
     def __init__(
         self,
         spec: VirtualClusterSpec,
@@ -94,9 +67,9 @@ class VMPool:
     ) -> None:
         """``boot_failure_rate`` injects launch failures: with that
         probability a booting VM lands back in OFF instead of RUNNING
-        (Xen launches do occasionally fail; the scheduler's next
-        ``scale_to`` retries automatically). Requires ``rng`` when > 0
-        for deterministic experiments."""
+        (Xen launches do occasionally fail; the next ``scale_to`` retries
+        automatically). Requires ``rng`` when > 0 for deterministic
+        experiments."""
         if boot_seconds < 0 or shutdown_seconds < 0:
             raise ValueError("latencies must be nonnegative")
         if not 0.0 <= boot_failure_rate < 1.0:
@@ -107,13 +80,11 @@ class VMPool:
         self.shutdown_seconds = shutdown_seconds
         self.boot_failure_rate = boot_failure_rate
         self._rng = rng
-        self.vms: List[VM] = [
-            VM(vm_id=next(self._ids), cluster=spec.name) for _ in range(spec.max_vms)
-        ]
-        #: VMs per lifecycle state, kept in step by :meth:`_move` so the
-        #: counting queries never walk ``vms``.
-        self._counts: Dict[VMState, int] = {state: 0 for state in VMState}
-        self._counts[VMState.OFF] = len(self.vms)
+        #: One :class:`VMState` code per VM slot.
+        self.states = np.full(spec.max_vms, VMState.OFF, dtype=np.int8)
+        #: Pending boot-completion event per BOOTING slot (simulator mode),
+        #: cancelled when the slot is shut down before it finishes booting.
+        self._boot_events: Dict[int, Event] = {}
         self.launches = 0
         self.shutdowns = 0
         self.boot_failures = 0
@@ -122,27 +93,24 @@ class VMPool:
     # Queries
     # ------------------------------------------------------------------
     def count(self, state: VMState) -> int:
-        return self._counts[state]
+        return int(np.count_nonzero(self.states == state))
 
     @property
     def running(self) -> int:
-        return self._counts[VMState.RUNNING]
+        return self.count(VMState.RUNNING)
 
     @property
     def booting(self) -> int:
-        return self._counts[VMState.BOOTING]
+        return self.count(VMState.BOOTING)
 
     @property
     def active(self) -> int:
         """VMs that are or will shortly be serving (running + booting)."""
-        return self._counts[VMState.RUNNING] + self._counts[VMState.BOOTING]
+        return self.running + self.booting
 
     @property
     def available_to_launch(self) -> int:
-        return self._counts[VMState.OFF]
-
-    def running_vms(self) -> List[VM]:
-        return [vm for vm in self.vms if vm.state is VMState.RUNNING]
+        return self.count(VMState.OFF)
 
     def running_bandwidth(self) -> float:
         """Aggregate bandwidth of RUNNING VMs, bytes/second."""
@@ -151,21 +119,17 @@ class VMPool:
     # ------------------------------------------------------------------
     # Transitions
     # ------------------------------------------------------------------
-    def _now(self) -> float:
-        return self.simulator.now if self.simulator is not None else 0.0
-
-    def _move(self, source: VMState, target: VMState, n: int = 1) -> None:
-        """Record ``n`` VMs moving from ``source`` to ``target``; every
-        state change of a pool VM is booked here."""
-        self._counts[source] -= n
-        self._counts[target] += n
-
-    def _boot_fails(self) -> bool:
-        if self.boot_failure_rate <= 0.0:
-            return False
+    def _failed_boots(self, n: int) -> np.ndarray:
+        """Which of ``n`` boots fail: one draw per boot, in slot order."""
+        if n == 0 or self.boot_failure_rate <= 0.0:
+            return np.zeros(n, dtype=bool)
         if self._rng is None:
             raise ValueError("boot_failure_rate > 0 requires an rng")
-        return bool(self._rng.random() < self.boot_failure_rate)
+        return self._rng.random(n) < self.boot_failure_rate
+
+    def _slots(self, state: VMState, limit: int) -> np.ndarray:
+        """The lowest-index ``limit`` slots in ``state``."""
+        return np.flatnonzero(self.states == state)[:limit]
 
     def launch(self, count: int) -> int:
         """Start booting up to ``count`` OFF VMs; returns how many started.
@@ -175,46 +139,27 @@ class VMPool:
         """
         if count < 0:
             raise ValueError(f"launch count must be >= 0, got {count}")
-        count = min(count, self._counts[VMState.OFF])
-        instant = self.simulator is None
-        target = VMState.RUNNING if instant else VMState.BOOTING
-        now = self._now()
-        started = moved = 0
-        for vm in self.vms:
-            if started >= count:
-                break
-            if vm.state is not VMState.OFF:
-                continue
-            started += 1
-            if instant and self._boot_fails():
-                self.boot_failures += 1
-                continue
-            vm.state = target
-            moved += 1
-            if instant:
-                vm.booted_at = now
-            else:
-                self.simulator.schedule_in(
+        slots = self._slots(VMState.OFF, count)
+        if self.simulator is None:
+            failed = self._failed_boots(len(slots))
+            self.boot_failures += int(np.count_nonzero(failed))
+            self.states[slots[~failed]] = VMState.RUNNING
+        else:
+            self.states[slots] = VMState.BOOTING
+            for slot in slots.tolist():
+                self._boot_events[slot] = self.simulator.schedule_in(
                     self.boot_seconds,
-                    self._make_boot_completion(vm),
-                    label=f"vm-boot:{vm.vm_id}",
+                    functools.partial(self._complete_boot, slot),
+                    label=f"vm-boot:{self.spec.name}:{slot}",
                 )
-        self._move(VMState.OFF, target, moved)
-        self.launches += started
-        return started
+        self.launches += len(slots)
+        return len(slots)
 
-    def _make_boot_completion(self, vm: VM):
-        def complete() -> None:
-            if vm.state is VMState.BOOTING:
-                if self._boot_fails():
-                    self.boot_failures += 1
-                    vm.state = VMState.OFF
-                else:
-                    vm.state = VMState.RUNNING
-                    vm.booted_at = self._now()
-                self._move(VMState.BOOTING, vm.state)
-
-        return complete
+    def _complete_boot(self, slot: int) -> None:
+        del self._boot_events[slot]
+        failed = bool(self._failed_boots(1)[0])
+        self.boot_failures += int(failed)
+        self.states[slot] = VMState.OFF if failed else VMState.RUNNING
 
     def shutdown(self, count: int) -> int:
         """Shut down up to ``count`` VMs, preferring BOOTING over RUNNING.
@@ -224,41 +169,28 @@ class VMPool:
         """
         if count < 0:
             raise ValueError(f"shutdown count must be >= 0, got {count}")
-        target = (
-            VMState.OFF if self.simulator is None else VMState.SHUTTING_DOWN
-        )
-        stopped = 0
-        # Booting VMs are cheapest to reclaim.
-        for state in (VMState.BOOTING, VMState.RUNNING):
-            quota = min(count - stopped, self._counts[state])
-            taken = 0
-            for vm in self.vms:
-                if taken >= quota:
-                    break
-                if vm.state is not state:
-                    continue
-                taken += 1
-                vm.clear_assignment()
-                vm.state = target
-                if self.simulator is not None:
+        booting = self._slots(VMState.BOOTING, count)
+        running = self._slots(VMState.RUNNING, count - len(booting))
+        if self.simulator is None:
+            self.states[booting] = VMState.OFF
+            self.states[running] = VMState.OFF
+        else:
+            for slot in booting.tolist():
+                self.simulator.cancel(self._boot_events.pop(slot))
+            for slots in (booting, running):
+                self.states[slots] = VMState.SHUTTING_DOWN
+                for slot in slots.tolist():
                     self.simulator.schedule_in(
                         self.shutdown_seconds,
-                        self._make_shutdown_completion(vm),
-                        label=f"vm-stop:{vm.vm_id}",
+                        functools.partial(self._complete_shutdown, slot),
+                        label=f"vm-stop:{self.spec.name}:{slot}",
                     )
-            self._move(state, target, taken)
-            stopped += taken
+        stopped = len(booting) + len(running)
         self.shutdowns += stopped
         return stopped
 
-    def _make_shutdown_completion(self, vm: VM):
-        def complete() -> None:
-            if vm.state is VMState.SHUTTING_DOWN:
-                vm.state = VMState.OFF
-                vm.booted_at = None
-                self._move(VMState.SHUTTING_DOWN, VMState.OFF)
-
-        return complete
+    def _complete_shutdown(self, slot: int) -> None:
+        self.states[slot] = VMState.OFF
 
     def scale_to(self, target: int) -> int:
         """Launch or shut down VMs so that ``active`` approaches ``target``.

@@ -20,7 +20,7 @@ A user is in exactly one of two phases:
 Slots of departed users are reclaimed through a free-list, so long
 flash-crowd runs stop growing the arrays monotonically. A user id stays
 stable (and exclusively owned) for the user's whole session — the tracker
-and overlay can key on it — and is only reissued after that user departs.
+can key on it — and is only reissued after that user departs.
 Because reuse makes slot order diverge from arrival order, every index
 query returns user ids in **arrival order** (see :meth:`active_indices`);
 under the historical monotonic allocator the two orders coincide, which is

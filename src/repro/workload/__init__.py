@@ -12,6 +12,8 @@ PPLive-VoD characteristics; this package regenerates an equivalent trace:
   sampling.
 * :mod:`repro.workload.trace` — assembled traces (sessions with channel,
   arrival time, start position, upload capacity) plus JSON serialization.
+* :mod:`repro.workload.catalog` — catalog configurations and per-shard
+  trace synthesis for the sharded engines.
 """
 
 from repro.workload.arrivals import (
@@ -21,13 +23,6 @@ from repro.workload.arrivals import (
 )
 from repro.workload.diurnal import DiurnalPattern
 from repro.workload.pareto import BoundedPareto
-from repro.workload.tools import (
-    merge_traces,
-    scale_trace,
-    shift_trace,
-    slice_trace,
-    thin_trace,
-)
 from repro.workload.trace import Session, Trace, TraceConfig, generate_trace
 from repro.workload.zipf import assign_channel_rates, zipf_weights
 
@@ -66,10 +61,5 @@ __all__ = [
     "generate_trace",
     "zipf_weights",
     "assign_channel_rates",
-    "merge_traces",
-    "scale_trace",
-    "shift_trace",
-    "slice_trace",
-    "thin_trace",
     *_CATALOG_EXPORTS,
 ]

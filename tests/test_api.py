@@ -360,6 +360,29 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="schema"):
             resume(path)
 
+    @pytest.mark.parametrize("reference", [
+        b"repro.cloud.gone\nThing",  # a module that no longer exists
+        b"repro.cloud.vm\nVM",  # a class an older schema pickled
+    ])
+    def test_resume_rejects_vanished_classes(self, tmp_path, reference):
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(b"c" + reference + b"\n.")
+        with pytest.raises(ValueError, match="not a repro checkpoint") as info:
+            resume(path)
+        assert str(path) in str(info.value)
+        assert "schema" in str(info.value)
+
+    def test_resume_rejects_truncated_checkpoint(self, tmp_path):
+        path = tmp_path / "full.ckpt"
+        with open_run(EngineConfig(spec=small_catalog(), workers=1)) as run:
+            next(run.epochs())
+            run.checkpoint(path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(ValueError, match="not a repro checkpoint") as info:
+            resume(path)
+        assert str(path) in str(info.value)
+
 
 # ----------------------------------------------------------------------
 # Removed shims

@@ -212,14 +212,6 @@ class TestFacility:
         facility.apply_vm_targets({"standard": 4})
         assert facility.billing.current_vm_cost_rate() == pytest.approx(4 * 0.45)
 
-    def test_monitor_samples(self):
-        facility = make_facility()
-        facility.apply_vm_targets({"standard": 2})
-        snap = facility.monitor.sample(0.0, used_bandwidth=1e6)
-        assert snap.total_running == 2
-        assert snap.running_bandwidth == pytest.approx(2 * 1.25e6)
-        assert 0.0 < snap.utilization < 1.0
-
     def test_clock_drives_billing(self):
         t = {"now": 0.0}
         facility = make_facility(clock=lambda: t["now"])

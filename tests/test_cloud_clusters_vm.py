@@ -3,12 +3,7 @@
 import pytest
 
 from repro.cloud.cluster import NFSClusterSpec, VirtualClusterSpec
-from repro.cloud.vm import (
-    DEFAULT_BOOT_SECONDS,
-    VM,
-    VMPool,
-    VMState,
-)
+from repro.cloud.vm import DEFAULT_BOOT_SECONDS, VMPool, VMState
 from repro.sim.engine import Simulator
 
 
@@ -163,24 +158,20 @@ class TestTimedPool:
         # The booting VM should have been reclaimed, not a running one.
         assert pool.running == 2
 
-    def test_assignment_cleared_on_shutdown(self):
-        pool = VMPool(make_vm_spec(max_vms=1))
-        pool.launch(1)
-        vm = pool.running_vms()[0]
-        vm.assignment[("ch", 0)] = 0.5
-        pool.shutdown(1)
-        assert vm.assignment == {}
-
-
-class TestVM:
-    def test_assigned_fraction(self):
-        vm = VM(vm_id=1, cluster="standard")
-        vm.assignment[("a", 1)] = 0.25
-        vm.assignment[("a", 2)] = 0.5
-        assert vm.assigned_fraction() == pytest.approx(0.75)
-
-    def test_usable_only_when_running(self):
-        vm = VM(vm_id=1, cluster="standard")
-        assert not vm.is_usable
-        vm.state = VMState.RUNNING
-        assert vm.is_usable
+    def test_relaunch_ignores_a_cancelled_boot(self):
+        """A VM shut down while booting and relaunched before its first
+        boot would have finished still takes a full boot from the
+        relaunch: the first boot's completion no longer fires."""
+        sim = Simulator()
+        pool = VMPool(make_vm_spec(max_vms=1), sim)
+        pool.launch(1)  # boot due at t=25
+        sim.run(until=5.0)
+        pool.shutdown(1)  # off at t=15
+        sim.run(until=20.0)
+        assert pool.launch(1) == 1  # boot due at t=45
+        sim.run(until=26.0)
+        assert (pool.running, pool.booting) == (0, 1)
+        sim.run(until=44.0)
+        assert (pool.running, pool.booting) == (0, 1)
+        sim.run(until=46.0)
+        assert (pool.running, pool.booting) == (1, 0)

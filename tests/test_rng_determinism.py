@@ -1,18 +1,15 @@
 """Regression tests for the DET001 fixes: no silent entropy streams.
 
-``make_rng(seed=None)`` used to hand back an *unseeded* generator and
-``MeshOverlay`` fell back to a raw ``np.random.default_rng(0)`` outside
-the named-stream mechanism — the two real findings the determinism
-linter flagged on day one.  These tests pin the fixed contract:
-``None`` falls back deterministically to seed 0, OS entropy is an
-explicit opt-in via the ``ENTROPY`` sentinel, and two
-default-constructed overlays make identical neighbor choices.
+``make_rng(seed=None)`` used to hand back an *unseeded* generator, one
+of the real findings the determinism linter flagged on day one.  These
+tests pin the fixed contract: ``None`` falls back deterministically to
+seed 0, and OS entropy is an explicit opt-in via the ``ENTROPY``
+sentinel.
 """
 
 import numpy as np
 
 from repro.sim.rng import ENTROPY, RandomStreams, make_rng
-from repro.vod.overlay import MeshOverlay
 
 
 class TestSeedNoneFallback:
@@ -52,23 +49,3 @@ class TestEntropyOptIn:
 
     def test_entropy_repr_names_itself(self):
         assert "ENTROPY" in repr(ENTROPY)
-
-
-class TestOverlayDefaultDeterminism:
-    @staticmethod
-    def _grow(overlay, peers=24):
-        for peer in range(peers):
-            overlay.join(peer, candidates=range(peer))
-        return {p: sorted(n) for p, n in overlay.neighbors.items()}
-
-    def test_default_overlays_are_identical(self):
-        first = self._grow(MeshOverlay(max_degree=4))
-        second = self._grow(MeshOverlay(max_degree=4))
-        assert first == second
-
-    def test_injected_rng_still_controls_choices(self):
-        a = self._grow(MeshOverlay(max_degree=4, rng=make_rng(7, "ov")))
-        b = self._grow(MeshOverlay(max_degree=4, rng=make_rng(7, "ov")))
-        c = self._grow(MeshOverlay(max_degree=4, rng=make_rng(8, "ov")))
-        assert a == b
-        assert a != c

@@ -1,7 +1,7 @@
 """Property tests for UserStore slot reuse and batch operations.
 
 The free-list contract: a live user's id never changes or collides
-(tracker/overlay can key on it for the whole session), departed slots
+(the tracker can key on it for the whole session), departed slots
 are reclaimed for later arrivals so long runs stop growing the arrays
 monotonically, and every derived structure — the arrival-ordered index
 caches, the per-chunk owner counts, the peer-supply mirror — stays
@@ -76,7 +76,7 @@ class TestFreeListProperties:
                 uid = store.add_user(now, int(rng.integers(NUM_CHUNKS)),
                                      float(rng.uniform(0, 100)))
                 # A reissued id must come from a departed user, never a
-                # live one (uid stability for tracker/overlay).
+                # live one (uid stability for the tracker).
                 assert uid not in live
                 live[uid] = stamp
                 stamp += 1

@@ -1,5 +1,8 @@
 """Failure injection: VM boot failures and the scheduler's retry path."""
 
+from dataclasses import dataclass
+from typing import Optional
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from repro.cloud.cluster import VirtualClusterSpec
 from repro.cloud.vm import VMPool, VMState
 from repro.sim.engine import Simulator
+from repro.sim.events import Event
 from repro.sim.rng import make_rng
 
 
@@ -76,7 +80,7 @@ class TestBootFailures:
 
 
 # ----------------------------------------------------------------------
-# O(1) state counters
+# State counters and parity with the object-list pool
 # ----------------------------------------------------------------------
 OPERATIONS = st.lists(
     st.tuples(
@@ -89,7 +93,7 @@ OPERATIONS = st.lists(
 
 def assert_counters_match_walk(pool):
     for state in VMState:
-        walked = sum(1 for vm in pool.vms if vm.state is state)
+        walked = sum(1 for code in pool.states.tolist() if code == state)
         assert pool.count(state) == walked, state
     assert pool.running == pool.count(VMState.RUNNING)
     assert pool.booting == pool.count(VMState.BOOTING)
@@ -121,3 +125,157 @@ class TestStateCounters:
             else:
                 getattr(pool, name)(amount)
             assert_counters_match_walk(pool)
+
+
+@dataclass
+class _ObjectVM:
+    state: VMState = VMState.OFF
+    boot_event: Optional[Event] = None
+
+
+class ObjectListPool:
+    """The pool as it was before the slot-state array: one object per VM,
+    walked in slot order (its per-state counters are read by walking the
+    objects).  Only the stale-boot fix is applied: a shutdown cancels the
+    VM's pending boot completion."""
+
+    def __init__(self, spec, simulator=None, *, boot_seconds=25.0,
+                 shutdown_seconds=10.0, boot_failure_rate=0.0, rng=None):
+        self.spec = spec
+        self.simulator = simulator
+        self.boot_seconds = boot_seconds
+        self.shutdown_seconds = shutdown_seconds
+        self.boot_failure_rate = boot_failure_rate
+        self._rng = rng
+        self.vms = [_ObjectVM() for _ in range(spec.max_vms)]
+        self.launches = 0
+        self.shutdowns = 0
+        self.boot_failures = 0
+
+    def count(self, state):
+        return sum(1 for vm in self.vms if vm.state is state)
+
+    @property
+    def active(self):
+        return self.count(VMState.RUNNING) + self.count(VMState.BOOTING)
+
+    def _boot_fails(self):
+        if self.boot_failure_rate <= 0.0:
+            return False
+        if self._rng is None:
+            raise ValueError("boot_failure_rate > 0 requires an rng")
+        return bool(self._rng.random() < self.boot_failure_rate)
+
+    def launch(self, count):
+        count = min(count, self.count(VMState.OFF))
+        instant = self.simulator is None
+        started = 0
+        for vm in self.vms:
+            if started >= count:
+                break
+            if vm.state is not VMState.OFF:
+                continue
+            started += 1
+            if instant and self._boot_fails():
+                self.boot_failures += 1
+                continue
+            if instant:
+                vm.state = VMState.RUNNING
+            else:
+                vm.state = VMState.BOOTING
+                vm.boot_event = self.simulator.schedule_in(
+                    self.boot_seconds, self._boot_completion(vm)
+                )
+        self.launches += started
+        return started
+
+    def _boot_completion(self, vm):
+        def complete():
+            if vm.state is VMState.BOOTING:
+                if self._boot_fails():
+                    self.boot_failures += 1
+                    vm.state = VMState.OFF
+                else:
+                    vm.state = VMState.RUNNING
+
+        return complete
+
+    def shutdown(self, count):
+        target = (
+            VMState.OFF if self.simulator is None else VMState.SHUTTING_DOWN
+        )
+        stopped = 0
+        for state in (VMState.BOOTING, VMState.RUNNING):
+            quota = min(count - stopped, self.count(state))
+            taken = 0
+            for vm in self.vms:
+                if taken >= quota:
+                    break
+                if vm.state is not state:
+                    continue
+                taken += 1
+                if state is VMState.BOOTING and self.simulator is not None:
+                    self.simulator.cancel(vm.boot_event)  # the fix
+                vm.state = target
+                if self.simulator is not None:
+                    self.simulator.schedule_in(
+                        self.shutdown_seconds, self._shutdown_completion(vm)
+                    )
+            stopped += taken
+        self.shutdowns += stopped
+        return stopped
+
+    def _shutdown_completion(self, vm):
+        def complete():
+            if vm.state is VMState.SHUTTING_DOWN:
+                vm.state = VMState.OFF
+
+        return complete
+
+    def scale_to(self, target):
+        target = min(target, self.spec.max_vms)
+        diff = target - self.active
+        if diff > 0:
+            return self.launch(diff)
+        if diff < 0:
+            return -self.shutdown(-diff)
+        return 0
+
+
+class TestParityWithObjectListPool:
+    @given(
+        operations=OPERATIONS,
+        timed=st.booleans(),
+        failure_rate=st.sampled_from([0.0, 0.3, 0.8]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_same_outcome_after_every_operation(
+        self, operations, timed, failure_rate, seed
+    ):
+        sim, oracle_sim = (Simulator(), Simulator()) if timed else (None, None)
+        rng, oracle_rng = make_rng(seed, "boot"), make_rng(seed, "boot")
+        pool = VMPool(
+            spec(max_vms=12), sim, boot_failure_rate=failure_rate, rng=rng
+        )
+        oracle = ObjectListPool(
+            spec(max_vms=12), oracle_sim,
+            boot_failure_rate=failure_rate, rng=oracle_rng,
+        )
+        for name, amount in operations:
+            if name == "wait":
+                if sim is not None:
+                    sim.run(until=sim.now + amount * 5.0)
+                    oracle_sim.run(until=oracle_sim.now + amount * 5.0)
+            else:
+                assert getattr(pool, name)(amount) == \
+                    getattr(oracle, name)(amount)
+            assert pool.states.tolist() == [vm.state for vm in oracle.vms]
+            for state in VMState:
+                assert pool.count(state) == oracle.count(state), state
+            assert (pool.launches, pool.shutdowns, pool.boot_failures) == (
+                oracle.launches, oracle.shutdowns, oracle.boot_failures
+            )
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            if sim is not None:
+                assert sim.events_processed == oracle_sim.events_processed

@@ -1,11 +1,9 @@
-"""Tests for repro.vod.delivery and repro.vod.overlay."""
+"""Tests for repro.vod.delivery."""
 
 import numpy as np
 import pytest
 
-from repro.sim.rng import make_rng
 from repro.vod.delivery import ClientServerDelivery, P2PDelivery
-from repro.vod.overlay import MeshOverlay
 from repro.vod.user import UserStore
 
 R = 10e6 / 8.0
@@ -116,70 +114,3 @@ class TestP2P:
         outcome = P2PDelivery(R).allocate(store, np.zeros(4))
         assert outcome.cloud_used == 0.0
         assert outcome.peer_used == 0.0
-
-
-class TestOverlay:
-    def test_join_connects_to_candidates(self):
-        overlay = MeshOverlay(max_degree=3, rng=make_rng(0, "ov"))
-        overlay.join(0)
-        overlay.join(1, [0])
-        assert overlay.degree(1) == 1
-        assert 1 in overlay.neighbors[0]
-
-    def test_degree_soft_bound(self):
-        """Peers respect max_degree when choosing, but a saturated peer may
-        accept one extra edge rather than partition a newcomer (soft cap)."""
-        overlay = MeshOverlay(max_degree=2, rng=make_rng(1, "ov"))
-        overlay.join(0)
-        for peer in range(1, 8):
-            overlay.join(peer, list(range(peer)))
-        # Every joiner got connected despite saturation...
-        assert all(overlay.degree(p) >= 1 for p in range(1, 8))
-        # ...and nobody's degree runs away.
-        assert max(overlay.degree(p) for p in overlay.neighbors) <= 2 * overlay.max_degree + 2
-
-    def test_leave_removes_edges(self):
-        overlay = MeshOverlay(max_degree=4, rng=make_rng(2, "ov"))
-        overlay.join(0)
-        overlay.join(1, [0])
-        overlay.leave(0)
-        assert 0 not in overlay
-        assert overlay.degree(1) == 0
-
-    def test_leave_unknown_is_noop(self):
-        overlay = MeshOverlay()
-        overlay.leave(42)
-
-    def test_duplicate_join_rejected(self):
-        overlay = MeshOverlay()
-        overlay.join(0)
-        with pytest.raises(ValueError):
-            overlay.join(0)
-
-    def test_rewire_tops_up(self):
-        overlay = MeshOverlay(max_degree=3, rng=make_rng(3, "ov"))
-        for p in range(5):
-            overlay.join(p, list(range(p)))
-        victim = 4
-        for nbr in list(overlay.neighbors[victim]):
-            overlay.neighbors[nbr].discard(victim)
-            overlay.neighbors[victim].discard(nbr)
-        overlay.rewire(victim, [p for p in range(4)])
-        assert overlay.degree(victim) >= 1
-
-    def test_connected_components(self):
-        overlay = MeshOverlay(max_degree=4, rng=make_rng(4, "ov"))
-        overlay.join(0)
-        overlay.join(1, [0])
-        overlay.join(2)  # isolated
-        components = overlay.connected_components()
-        assert len(components) == 2
-        assert not overlay.is_connected()
-
-    def test_mesh_connectivity_with_enough_candidates(self):
-        overlay = MeshOverlay(max_degree=4, rng=make_rng(5, "ov"))
-        peers = list(range(30))
-        for p in peers:
-            overlay.join(p, peers[:p])
-        assert overlay.is_connected()
-        assert overlay.mean_degree() > 2.0
