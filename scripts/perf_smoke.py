@@ -52,11 +52,15 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_kernel.json"
 
 #: Schema 2 adds a ``phases`` dict to each catalog headline record —
-#: the engine's cumulative per-phase breakdown (``kernel`` / ``merge`` /
-#: ``controller`` / ``ipc`` seconds, see ``Run.phase_seconds``).  The
+#: the engine's cumulative per-phase breakdown (``start`` / ``kernel`` /
+#: ``ipc`` / ``merge`` / ``controller`` wall seconds plus ``kernel_cpu``,
+#: see ``Run.phase_seconds``).  The
 #: addition is backward compatible: schema-1 files are still accepted as
 #: the committed reference (every gated field is unchanged).
 BENCH_SCHEMA = 2
+
+#: The phases the catalog headlines print, in order.
+PHASES = ("start", "kernel", "ipc", "merge", "controller", "kernel_cpu")
 
 #: The timed kernels. ``fig04`` is the short-run client-server kernel at
 #: the small-scale default population. ``flash-crowd`` is the sustained-
@@ -229,9 +233,10 @@ def time_catalog(jobs: int, seed: int = 2011, *, geo: bool = False) -> dict:
         "user_steps_per_sec": steps_per_sec * mean_pop,
         "total_arrivals": int(metrics["arrivals"]),
         "average_quality": float(metrics["average_quality"]),
-        # Where the wall clock went: shard-kernel CPU, parent-side epoch
-        # merge, controller (bootstrap + replans), and the worker
-        # round-trip remainder (serialization, acks, scheduling).
+        # Where the wall clock went: engine start-up, the shard-kernel
+        # critical path, the rest of the worker round trip, the
+        # parent-side epoch merge and the controller (bootstrap +
+        # replans); plus the kernels' summed CPU time.
         "phases": {k: float(v) for k, v in phases.items()},
     }
     if geo:
@@ -300,8 +305,7 @@ def measure(warmup_scale: float, timed_steps: int, *,
               f"quality {k['average_quality']:.3f})")
         ph = k["phases"]
         print("  phases: " + "  ".join(
-            f"{name}={ph.get(name, 0.0):.2f}s"
-            for name in ("kernel", "merge", "controller", "ipc")))
+            f"{name}={ph.get(name, 0.0):.2f}s" for name in PHASES))
         print(f"timing the geo catalog ({GEO_CATALOG['topology']} x "
               f"{GEO_CATALOG['num_channels']} channels, "
               f"{GEO_CATALOG['num_shards']} shards, "
@@ -315,8 +319,7 @@ def measure(warmup_scale: float, timed_steps: int, *,
               f"${k['egress_cost_per_hour']:.2f}/h)")
         ph = k["phases"]
         print("  phases: " + "  ".join(
-            f"{name}={ph.get(name, 0.0):.2f}s"
-            for name in ("kernel", "merge", "controller", "ipc")))
+            f"{name}={ph.get(name, 0.0):.2f}s" for name in PHASES))
     print("timing one sweep cell (fig04, client-server, 2h) ...", flush=True)
     cell = time_sweep_cell()
     print(f"  {cell['wall_seconds']:.2f} s")

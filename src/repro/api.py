@@ -72,8 +72,11 @@ __all__ = [
 #: Bump when the checkpoint payload layout changes; old checkpoints then
 #: fail loudly instead of being misread.  Schema 2 added
 #: :attr:`EngineConfig.controller`; schema 3 stores each VM pool as a
-#: slot-state array and drops the facility's VM monitor.
-CHECKPOINT_SCHEMA = 3
+#: slot-state array and drops the facility's VM monitor; schema 4 gives
+#: the fused kernel's row table a delivery-cell column and sentinels,
+#: moves its interval statistics to the interval close, and builds a
+#: shard's kernel on its first epoch.
+CHECKPOINT_SCHEMA = 4
 
 #: The deprecated environment fallback for :attr:`EngineConfig.workers`.
 WORKERS_ENV_VAR = "REPRO_CATALOG_JOBS"
@@ -564,12 +567,18 @@ class Run:
         return path
 
     def phase_seconds(self) -> dict:
-        """Cumulative wall-clock phase breakdown of the run so far.
+        """Cumulative phase breakdown of the run so far, in seconds.
 
-        For the sharded engines: ``kernel`` (inside the shard step
-        kernels), ``merge`` (parent-side epoch merge), ``controller``
-        (bootstrap + replans) and ``ipc`` (worker round-trip overhead).
-        Engines without instrumentation report ``{}``.
+        For the sharded engines, wall-clock phases that add up to the
+        engine's time: ``start`` (creating the shards, and spawning the
+        workers if any), ``kernel`` (each epoch's critical path through
+        the shard kernels: the slowest worker's summed shard time; a
+        shard builds its trace and kernel inside its first epoch),
+        ``ipc`` (the rest of each epoch round trip), ``merge``
+        (parent-side epoch merge) and ``controller`` (bootstrap +
+        replans); beside them ``kernel_cpu``, the CPU time inside the
+        shard kernels summed over every shard.  Engines without
+        instrumentation report ``{}``.
         """
         return dict(getattr(self._engine, "phase_seconds", {}) or {})
 

@@ -72,6 +72,7 @@ from repro.workload.catalog import (
     build_shard_trace,
     build_shard_trace_arrays,
     channel_shapes,
+    expected_sessions,
     shard_channel_ids,
 )
 
@@ -86,6 +87,7 @@ __all__ = [
     "GeoShardedSimulator",
     "ShardEngineError",
     "merge_epoch_reports",
+    "place_shards",
     "report_to_views",
     "report_from_views",
     "make_engine",
@@ -128,7 +130,8 @@ class ChannelShard:
     heterogeneous channels keep one :class:`VoDSimulator` over the
     shard's channels (the historical per-channel kernel); both kernels
     are byte-identical for any configuration both accept, and
-    checkpoints restored from either keep their original kernel.
+    checkpoints restored from either keep their original kernel.  The
+    simulator is built on first use (:attr:`sim`), not on construction.
     """
 
     def __init__(
@@ -147,10 +150,34 @@ class ChannelShard:
         # lists once instead of once per shard.
         if shapes is None:
             shapes = channel_shapes(config)
-        owned_shapes = [shapes[c] for c in self.channel_ids]
         if all_channels is None:
             all_channels = config.channels()
-        channels = [all_channels[c] for c in self.channel_ids]
+        self._owned: Optional[tuple] = (
+            [shapes[c] for c in self.channel_ids],
+            [all_channels[c] for c in self.channel_ids],
+        )
+        self._sim = None
+        self._quality_cursor = 0
+        self._retrievals = 0
+        self._unsmooth = 0
+        self._sojourn_sum = 0.0
+        self._arrivals = 0
+        self._departures = 0
+
+    @property
+    def sim(self):
+        """The shard's simulator, built on first use: inside the shard's
+        first epoch, so worker processes build their shards in parallel
+        and the parent never holds the traces of the workers' shards."""
+        if self._sim is None:
+            self._sim = self._build()
+            self._owned = None
+        return self._sim
+
+    def _build(self):
+        """Trace and kernel for the owned channels."""
+        config = self.config
+        owned_shapes, channels = self._owned
         sim_config = VoDSystemConfig(
             mode=config.mode,
             dt=config.dt,
@@ -161,50 +188,48 @@ class ChannelShard:
             trace_arrays = build_shard_trace_arrays(
                 config, self.channel_ids, shapes=owned_shapes
             )
-            self.sim = MultiChannelSimulator(
+            return MultiChannelSimulator(
                 channels,
                 trace_arrays,
                 sim_config,
                 interval_seconds=config.interval_seconds,
             )
-        else:
-            trace = build_shard_trace(
-                config, self.channel_ids, shapes=owned_shapes
-            )
-            # The tracker is sized for the whole catalog's slot space so
-            # global channel ids index it directly; only owned channels
-            # ever receive observations, and reports carry only the
-            # owned slice.  History is disabled: the owned slice ships
-            # to the control plane every epoch, so retaining closed
-            # intervals here would only grow memory linearly with the
-            # horizon.
-            tracker = TrackingServer(
-                num_channels=config.channel_slots,
-                chunks_per_channel=(
-                    [config.chunks_per_channel] * config.channel_slots
-                ),
-                interval_seconds=config.interval_seconds,
-                keep_history=False,
-            )
-            self.sim = VoDSimulator(
-                channels, trace, sim_config, tracker=tracker
-            )
-        self._quality_cursor = 0
-        self._retrievals = 0
-        self._unsmooth = 0
-        self._sojourn_sum = 0.0
-        self._arrivals = 0
-        self._departures = 0
+        trace = build_shard_trace(
+            config, self.channel_ids, shapes=owned_shapes
+        )
+        # The tracker is sized for the whole catalog's slot space so
+        # global channel ids index it directly; only owned channels
+        # ever receive observations, and reports carry only the
+        # owned slice.  History is disabled: the owned slice ships
+        # to the control plane every epoch, so retaining closed
+        # intervals here would only grow memory linearly with the
+        # horizon.
+        tracker = TrackingServer(
+            num_channels=config.channel_slots,
+            chunks_per_channel=(
+                [config.chunks_per_channel] * config.channel_slots
+            ),
+            interval_seconds=config.interval_seconds,
+            keep_history=False,
+        )
+        return VoDSimulator(channels, trace, sim_config, tracker=tracker)
 
     def set_capacities(self, capacities: Dict[int, np.ndarray]) -> None:
         """Install the owned channels' slice of a capacity broadcast."""
+        sim = self.sim
         for channel_id in self.channel_ids:
             capacity = capacities.get(channel_id)
             if capacity is not None:
-                self.sim.set_cloud_capacity(channel_id, capacity)
+                sim.set_cloud_capacity(channel_id, capacity)
 
-    def advance_epoch(self, t_end: float) -> EpochReport:
-        """Run lock-step to ``t_end`` and report this epoch's deltas."""
+    def advance_epoch(
+        self, t_end: float,
+        capacities: Optional[Dict[int, np.ndarray]] = None,
+    ) -> EpochReport:
+        """Install ``capacities`` (if given), run lock-step to ``t_end``
+        and report this epoch's deltas."""
+        if capacities is not None:
+            self.set_capacities(capacities)
         sim = self.sim
         log_start = len(sim.bandwidth)
         populations: List[int] = []
@@ -236,7 +261,11 @@ class ChannelShard:
         else:
             stats_all = sim.tracker.close_interval()
             stats = [stats_all[c] for c in self.channel_ids]
-        upload_sum, upload_count = sim.peer_upload_totals()
+        # Only the P2P controller reads the peers' upload capacity.
+        if self.config.mode == "p2p":
+            upload_sum, upload_count = sim.peer_upload_totals()
+        else:
+            upload_sum, upload_count = 0.0, 0
         return EpochReport(
             shard_index=self.shard_index,
             t_end=t_end,
@@ -402,12 +431,15 @@ def report_to_views(
     views: Dict[str, np.ndarray],
     report: EpochReport,
     owned_ids: Sequence[int],
-    kernel_seconds: float,
+    kernel_cpu_seconds: float,
+    kernel_wall_seconds: float,
 ) -> None:
     """Serialize one shard's epoch report into its shm block (in place).
 
     Every value is a plain int64/float64 store, so the block round-trips
     bit-exactly — the transport sits outside the determinism contract.
+    The two timings (the shard's ``advance_epoch`` in CPU and in wall
+    seconds) feed the engine's phase breakdown only.
     """
     n = int(report.step_times.size)
     views["n_steps"][0] = n
@@ -420,7 +452,8 @@ def report_to_views(
     views["upload_sum"][0] = report.upload_sum
     views["upload_count"][0] = report.upload_count
     views["peak_step_events"][0] = report.peak_step_events
-    views["kernel_seconds"][0] = kernel_seconds
+    views["kernel_cpu_seconds"][0] = kernel_cpu_seconds
+    views["kernel_wall_seconds"][0] = kernel_wall_seconds
     views["step_times"][:n] = report.step_times
     views["cloud_used"][:n] = report.cloud_used
     views["peer_used"][:n] = report.peer_used
@@ -532,22 +565,27 @@ def _detach_from_parent() -> None:
 
 
 def _worker_main(conn, config: CatalogConfig, shard_indices: List[int],
-                 shard_states: Optional[List[ChannelShard]] = None,
-                 shm_name: Optional[str] = None) -> None:
+                 shard_states: Optional[List[ChannelShard]],
+                 shm_name: str, shapes: Optional[list],
+                 all_channels: Optional[list]) -> None:
     """Long-lived worker: build (or adopt) the owned shards, serve epochs.
 
-    ``shard_states`` carries checkpointed :class:`ChannelShard` objects
-    into the worker on resume (they arrive pickled through the process
-    spawn), skipping the trace rebuild.  Besides epochs, the worker
-    answers ``("snapshot",)`` with its current shards — the parent-side
-    checkpoint gathers them without interrupting the run.
+    Without ``shard_states`` the worker creates its own shards from the
+    catalog-wide ``shapes``/``all_channels`` lists the parent computed
+    once (inherited through the fork); each shard builds its trace and
+    kernel inside its first epoch (:attr:`ChannelShard.sim`), so the
+    workers build in parallel.
+    ``shard_states`` carries live or checkpointed :class:`ChannelShard`
+    objects into the worker instead (restore and resume).  Besides
+    epochs, the worker answers ``("snapshot",)`` with its current shards
+    -- the parent-side checkpoint gathers them without interrupting the
+    run.
 
-    With ``shm_name`` the worker writes each epoch's reports into its
-    shards' shared-memory blocks and acks ``("ok", None)``; without it
-    (legacy/fallback) reports travel pickled over the pipe.  Either way
-    the attachment is closed in ``finally`` — the parent owns the
-    segment's unlink, so no worker exit path can leak ``/dev/shm``
-    blocks or trip the resource tracker.
+    Each epoch the worker writes its shards' reports into their
+    shared-memory blocks and acks ``("ok", None)``.  The attachment is
+    closed in ``finally`` -- the parent owns the segment's unlink, so no
+    worker exit path can leak ``/dev/shm`` blocks or trip the resource
+    tracker.
     """
     _detach_from_parent()
     segment = None
@@ -555,20 +593,14 @@ def _worker_main(conn, config: CatalogConfig, shard_indices: List[int],
         if shard_states is not None:
             shards = shard_states
         else:
-            # The full-catalog shape/spec lists are identical across
-            # shards; compute them once per worker.
-            shapes = channel_shapes(config)
-            all_channels = config.channels()
             shards = [
                 ChannelShard(
                     config, i, shapes=shapes, all_channels=all_channels
                 )
                 for i in shard_indices
             ]
-        layout = None
-        if shm_name is not None:
-            layout = EpochShmLayout(config)
-            segment = attach_segment(shm_name)
+        layout = EpochShmLayout(config)
+        segment = attach_segment(shm_name)
         conn.send(("ready", shard_indices))
         while True:
             message = conn.recv()
@@ -578,27 +610,20 @@ def _worker_main(conn, config: CatalogConfig, shard_indices: List[int],
                 conn.send(("ok", shards))
                 continue
             _, t_end, capacities = message
-            if segment is not None:
-                for shard in shards:
-                    shard.set_capacities(capacities)
-                    # CPU time, not wall: time-sliced workers sharing
-                    # cores would otherwise count each other's compute.
-                    started = time.process_time()
-                    report = shard.advance_epoch(t_end)
-                    kernel_seconds = time.process_time() - started
-                    report_to_views(
-                        layout.views(segment.buf, shard.shard_index),
-                        report,
-                        layout.owned_ids[shard.shard_index],
-                        kernel_seconds,
-                    )
-                conn.send(("ok", None))
-            else:
-                reports = []
-                for shard in shards:
-                    shard.set_capacities(capacities)
-                    reports.append(shard.advance_epoch(t_end))
-                conn.send(("ok", reports))
+            for shard in shards:
+                wall0 = time.perf_counter()
+                cpu0 = time.process_time()
+                report = shard.advance_epoch(t_end, capacities)
+                cpu = time.process_time() - cpu0
+                wall = time.perf_counter() - wall0
+                report_to_views(
+                    layout.views(segment.buf, shard.shard_index),
+                    report,
+                    layout.owned_ids[shard.shard_index],
+                    cpu,
+                    wall,
+                )
+            conn.send(("ok", None))
     except EOFError:
         pass
     except BaseException:
@@ -613,6 +638,36 @@ def _worker_main(conn, config: CatalogConfig, shard_indices: List[int],
             except BufferError:  # pragma: no cover - defensive
                 pass
         conn.close()
+
+
+def place_shards(
+    config: CatalogConfig, jobs: int, shapes: Optional[list] = None,
+) -> List[List[int]]:
+    """Which shards each of ``jobs`` workers runs, by expected cost.
+
+    A shard's cost is its channels' expected session count
+    (:func:`~repro.workload.catalog.expected_sessions`), a pure function
+    of the config.  Shards go out longest first (ties by index), each
+    to the worker with the least cost so far (ties by fewer shards, then
+    by worker index), and each worker's list is in ascending shard
+    order.  Placement never changes a result: reports merge in shard
+    order whatever worker wrote them.
+    """
+    if shapes is None:
+        shapes = channel_shapes(config)
+    slot_sessions = expected_sessions(config, shapes)
+    shards = config.effective_shards
+    costs = [
+        float(slot_sessions[shard_channel_ids(config, i)].sum())
+        for i in range(shards)
+    ]
+    loads = [0.0] * jobs
+    owned: List[List[int]] = [[] for _ in range(jobs)]
+    for i in sorted(range(shards), key=lambda i: (-costs[i], i)):
+        w = min(range(jobs), key=lambda w: (loads[w], len(owned[w]), w))
+        owned[w].append(i)
+        loads[w] += costs[i]
+    return [sorted(shard_list) for shard_list in owned]
 
 
 class ShardEngineError(RuntimeError):
@@ -857,18 +912,26 @@ class ShardedSimulator:
         self._shards: Optional[List[ChannelShard]] = None  # jobs == 1
         self._workers: List[mp.Process] = []
         self._conns: List = []
+        #: Shard indices per worker (:func:`place_shards`).
+        self._placement: List[List[int]] = []
         self._started = False
         self._closed = False
         self._layout: Optional[EpochShmLayout] = None
         self._segment: Optional[ParentSegment] = None
-        #: Cumulative phase breakdown of the run.  ``kernel`` is CPU
-        #: seconds inside the shard kernels (summed across workers);
-        #: ``merge`` and ``controller`` are parent wall clock; ``ipc``
-        #: is the epoch round-trip's wall clock minus kernel CPU —
-        #: serialization, pipe acks and scheduling (0 when workers
-        #: genuinely overlap on spare cores).
+        #: Cumulative phase breakdown of the run, in seconds.  Wall
+        #: clock, adding up to the engine's time: ``start`` (engine
+        #: start-up: creating the shards, and spawning the workers if
+        #: any), ``kernel`` (per epoch, the critical path through the
+        #: shard kernels: the summed shard time when serial, the slowest
+        #: worker's summed shard time otherwise -- a shard's first epoch
+        #: includes building its trace and kernel), ``ipc``
+        #: (the rest of each epoch round trip: control messages, shm
+        #: reads, scheduling), ``merge`` and ``controller``.  Beside them,
+        #: ``kernel_cpu`` is the CPU time inside the shard kernels,
+        #: summed over every shard.
         self.phase_seconds: Dict[str, float] = {
-            "kernel": 0.0, "merge": 0.0, "controller": 0.0, "ipc": 0.0,
+            "start": 0.0, "kernel": 0.0, "ipc": 0.0, "merge": 0.0,
+            "controller": 0.0, "kernel_cpu": 0.0,
         }
 
     def _build_controller(
@@ -921,6 +984,7 @@ class ShardedSimulator:
             conn.close()
         self._conns = []
         self._workers = []
+        self._placement = []
         if self._segment is not None:
             self._segment.close()
             self._segment = None
@@ -960,56 +1024,65 @@ class ShardedSimulator:
 
     # ------------------------------------------------------------------
     def _start(self) -> None:
+        """Create the shards (serial) or spawn the workers (idempotent).
+
+        Workers fork with everything they need: the catalog-wide
+        shape/spec lists computed here once, or the restored shards
+        they own.  A failed start stops whatever it spawned and
+        unlinks the segment before the error propagates."""
         if self._started:
             return
-        self._started = True
-        shards = self.config.effective_shards
         restored = self._restored_shards
-        self._restored_shards = None
-        # Build every shard in the parent, once: the catalog-wide
-        # shape/spec lists are shared across all of them, and worker
-        # processes inherit their shards through the fork (or adopt the
-        # pickled copies under a spawn start method) instead of each
-        # rebuilding the full channel list.
-        if restored is not None:
-            built = restored
-        else:
-            shapes = channel_shapes(self.config)
-            all_channels = self.config.channels()
-            built = [
-                ChannelShard(
-                    self.config, i,
-                    shapes=shapes, all_channels=all_channels,
-                )
-                for i in range(shards)
-            ]
         if self.jobs <= 1:
-            self._shards = built
+            if restored is None:
+                shapes, all_channels = self._catalog_lists()
+                self._shards = [
+                    ChannelShard(self.config, i, shapes=shapes,
+                                 all_channels=all_channels)
+                    for i in range(self.config.effective_shards)
+                ]
+            else:
+                self._shards = restored
+            self._restored_shards = None
+            self._started = True
             return
+        shapes, all_channels = self._catalog_lists()
+        placement = place_shards(self.config, self.jobs, shapes)
+        if restored is not None:
+            shapes = all_channels = None  # restored shards carry theirs
         self._layout = EpochShmLayout(self.config)
         self._segment = ParentSegment(self._layout)
-        assignments = [
-            [i for i in range(shards) if i % self.jobs == w]
-            for w in range(self.jobs)
-        ]
-        for owned in assignments:
-            parent_conn, child_conn = mp.Pipe()
-            _PARENT_ENDS.add(parent_conn)
-            owned_states = [built[i] for i in owned]
-            worker = mp.Process(
-                target=_worker_main,
-                args=(
-                    child_conn, self.config, owned, owned_states,
-                    self._segment.name,
-                ),
-                daemon=False,
-            )
-            worker.start()
-            child_conn.close()
-            self._workers.append(worker)
-            self._conns.append(parent_conn)
-        for conn in self._conns:
-            self._expect(conn, "ready")
+        try:
+            for owned in placement:
+                parent_conn, child_conn = mp.Pipe()
+                _PARENT_ENDS.add(parent_conn)
+                self._conns.append(parent_conn)
+                worker = mp.Process(
+                    target=_worker_main,
+                    args=(
+                        child_conn, self.config, owned,
+                        None if restored is None
+                        else [restored[i] for i in owned],
+                        self._segment.name, shapes, all_channels,
+                    ),
+                    daemon=False,
+                )
+                worker.start()
+                child_conn.close()
+                self._workers.append(worker)
+            for conn in self._conns:
+                self._expect(conn, "ready")
+        except BaseException:
+            self._stop_workers()
+            self._layout = None
+            raise
+        self._placement = placement
+        self._restored_shards = None
+        self._started = True
+
+    def _catalog_lists(self) -> Tuple[list, list]:
+        """The catalog-wide (shapes, channel specs), shared by shards."""
+        return channel_shapes(self.config), self.config.channels()
 
     @staticmethod
     def _send(conn, message) -> None:
@@ -1034,17 +1107,23 @@ class ShardedSimulator:
     def _advance_all(
         self, t_end: float, capacities: Dict[int, np.ndarray]
     ) -> List[EpochReport]:
-        self._start()
+        """One lock-step epoch over every shard (the engine is started).
+
+        Splits the call's wall time into ``kernel`` (the critical path
+        through the shard kernels) and ``ipc`` (the rest), so the two
+        add up to it exactly."""
         started = time.perf_counter()  # lint: allow[DET002] phase timing
-        kernel_seconds = 0.0
+        kernel_cpu = 0.0
         if self._shards is not None:
+            kernel = 0.0
             reports = []
             for shard in self._shards:
-                shard.set_capacities(capacities)
-                k0 = time.process_time()  # lint: allow[DET002] phase timing
-                reports.append(shard.advance_epoch(t_end))
+                wall0 = time.perf_counter()  # lint: allow[DET002] phase timing
+                cpu0 = time.process_time()  # lint: allow[DET002] phase timing
+                reports.append(shard.advance_epoch(t_end, capacities))
                 # lint: allow[DET002] phase timing
-                kernel_seconds += time.process_time() - k0
+                kernel_cpu += time.process_time() - cpu0
+                kernel += time.perf_counter() - wall0  # lint: allow[DET002] phase timing
         else:
             for conn in self._conns:
                 self._send(conn, ("epoch", t_end, capacities))
@@ -1053,19 +1132,26 @@ class ShardedSimulator:
             # Every worker has acked; map the blocks back in fixed shard
             # order (the merge's reduction-order contract).
             reports = []
+            shard_wall = []
             buf = self._segment.buf
             interval = self.config.interval_seconds
             for index in range(self.config.effective_shards):
                 views = self._layout.views(buf, index)
-                kernel_seconds += float(views["kernel_seconds"][0])
+                kernel_cpu += float(views["kernel_cpu_seconds"][0])
+                shard_wall.append(float(views["kernel_wall_seconds"][0]))
                 reports.append(
                     report_from_views(
                         views, index, self._layout.owned_ids[index], interval
                     )
                 )
+            # Workers run side by side, each through its shards in turn.
+            kernel = max(
+                sum(shard_wall[i] for i in owned) for owned in self._placement
+            )
         wall = time.perf_counter() - started  # lint: allow[DET002] phase timing
-        self.phase_seconds["kernel"] += kernel_seconds
-        self.phase_seconds["ipc"] += max(0.0, wall - kernel_seconds)
+        self.phase_seconds["kernel"] += kernel
+        self.phase_seconds["kernel_cpu"] += kernel_cpu
+        self.phase_seconds["ipc"] += wall - kernel
         return reports
 
     @staticmethod
@@ -1164,6 +1250,11 @@ class ShardedSimulator:
         horizon = config.horizon_seconds
         k = state.epoch + 1
         t_end = min(k * interval, horizon)
+        if not self._started:
+            start_started = time.perf_counter()  # lint: allow[DET002] phase timing
+            self._start()
+            # lint: allow[DET002] phase timing
+            self.phase_seconds["start"] += time.perf_counter() - start_started
         reports = self._advance_all(t_end, state.capacities)
         merge_started = time.perf_counter()  # lint: allow[DET002] phase timing
         merged = merge_epoch_reports(reports)

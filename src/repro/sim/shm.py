@@ -16,9 +16,12 @@ A block is a flat sequence of 8-byte-aligned scalars and arrays (all
 
 * i64 scalars: ``n_steps``, ``n_quality``, ``arrivals``, ``departures``,
   ``retrievals``, ``unsmooth``, ``upload_count``, ``peak_step_events``;
-* f64 scalars: ``t_end``, ``sojourn_sum``, ``upload_sum``,
-  ``kernel_seconds`` (the worker's wall time inside the shard kernel,
-  feeding the engine's phase breakdown);
+* f64 scalars: ``t_end``, ``sojourn_sum``, ``upload_sum``, and the
+  shard's ``advance_epoch`` timed in CPU seconds
+  (``kernel_cpu_seconds``) and in wall seconds
+  (``kernel_wall_seconds``) -- the engine's phase breakdown takes the
+  kernel critical path from the wall times and reports the CPU sum
+  beside it;
 * f64 step series sized for the worst-case epoch (``step_times``,
   ``cloud_used``, ``peer_used``, ``provisioned``, ``shortfall``) plus
   i64 ``populations``; the valid prefix length is ``n_steps``;
@@ -81,7 +84,13 @@ SCALAR_I64 = (
     "upload_count",
     "peak_step_events",
 )
-SCALAR_F64 = ("t_end", "sojourn_sum", "upload_sum", "kernel_seconds")
+SCALAR_F64 = (
+    "t_end",
+    "sojourn_sum",
+    "upload_sum",
+    "kernel_cpu_seconds",
+    "kernel_wall_seconds",
+)
 STEP_SERIES_F64 = (
     "step_times",
     "cloud_used",

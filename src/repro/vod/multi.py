@@ -5,19 +5,21 @@ vectorized pass per phase, instead of looping Python-side over one
 :class:`~repro.vod.simulator.VoDSimulator` store per channel.  All users
 of all channels live in one dense **row table** in admission order — a
 structure-of-arrays column per attribute (channel, current chunk,
-received bytes, enter time, upload capacity, hold state, alive flag)
-with a tail cursor for O(1) appends.  Departures only flip the alive
-flag (and drop the chunk to ``-1`` so dead rows mask out of delivery);
-the table is re-packed by one stable ``flatnonzero`` gather, *lazily* —
-once per epoch at the report boundary, or mid-epoch only when dead rows
-exceed half the table.  Per-channel state the delivery model needs is a
-``(channels, chunks)`` capacity matrix, and each step runs:
+delivery cell, received bytes, enter time, hold state, alive flag) with
+a tail cursor for O(1) appends.  Departures only flip the alive flag and
+move the row out of delivery; the table is re-packed by one stable
+``flatnonzero`` gather, *lazily* — once per epoch at the report
+boundary, or mid-epoch only when dead rows exceed half the table.
+Per-channel state the delivery model needs is a ``(channels, chunks)``
+capacity matrix, and each step runs:
 
 1. fused admissions from the shard's arrival-sorted trace arrays;
-2. fused hold releases across every channel;
+2. fused hold releases across every channel (one scan of the hold
+   deadlines);
 3. one ``(channels, chunks)`` client-server delivery solve (bincount of
-   downloaders, elementwise rate shares, row sums);
-4. fused download advance and completion detection;
+   the delivery cells, elementwise rate shares, row sums);
+4. fused download advance and completion detection (one gather, one
+   in-place add, one threshold scan);
 5. per-channel completion handling in ascending channel order (the only
    phase that must stay a loop: behaviour-stream draws and the sojourn
    accumulator are per-channel ordered state), then fused transition
@@ -34,22 +36,28 @@ the jobs-1-vs-N sweeps pin down).  The invariants that make this true:
   integer-valued ``bincount`` accumulations (exact in any grouping), so
   phases can be fused across channels;
 * every float reduction either stays per-channel in arrival order (the
-  upload-capacity and sojourn accumulators, element-by-element), or is
-  a row-wise ``.sum(axis=1)`` over a C-contiguous matrix (bitwise equal
-  to the per-channel 1-D ``.sum()``), or a sequential Python add over
-  channels in ascending id order (the step's bandwidth totals);
+  upload-capacity accumulator, summed per channel at the interval close
+  over the trace entries admitted since the last one, and the sojourn
+  accumulator, element-by-element or one pairwise ``np.add.reduce`` per
+  channel segment), or is a row-wise ``.sum(axis=1)`` over a
+  C-contiguous matrix (bitwise equal to the per-channel 1-D ``.sum()``),
+  or a sequential Python add over channels in ascending id order (the
+  step's bandwidth totals);
 * per-channel RNG streams are keyed by global channel id and consumed
   in the same order and batch sizes as the per-channel kernel,
   including its ``<= 4`` completions scalar path;
 * row numbering is unobservable — every reported quantity derives from
   per-channel *arrival order*, which the row table maintains
-  structurally: admissions append channel-sorted at the tail, and the
+  structurally: admissions append in trace order at the tail, and the
   compaction gather is an ascending index pick, so each channel's
   subsequence of the table is always its arrival order;
-* dead and held rows mask out of delivery through the same ``chunk >=
-  0`` test, spilling into a dropped overflow bin and gathering a
-  trailing ``0.0`` rate — an exact ``+ 0.0`` on their buffers, so
-  deferring compaction never perturbs a float.
+* dead and held rows mask out of delivery through sentinels that are
+  set only where a row's state changes: their delivery cell is the
+  spill bin ``C * J`` (dropped from the counts, gathering a trailing
+  ``0.0`` rate), their received bytes are ``-inf`` (never reaching the
+  completion threshold), and every row that is not held has a hold
+  deadline of ``+inf`` (never released) — so the per-step passes need
+  no masks, and deferring compaction never perturbs a float.
 
 The fused kernel covers the client-server mode with a uniform channel
 set (what every catalog family built by
@@ -126,10 +134,10 @@ class MultiChannelSimulator:
 
     Drop-in for the shard's per-channel :class:`VoDSimulator` loop: the
     external surface (``step``/``population``/``set_cloud_capacity``/
-    ``bandwidth``/``quality``/``peer_upload_totals``/...) matches what
-    :class:`repro.sim.shard.ChannelShard` consumes, and
-    :meth:`close_interval` plays the tracker's role for the owned
-    channels.
+    ``bandwidth``/``quality``/...) matches what
+    :class:`repro.sim.shard.ChannelShard` consumes in client-server
+    mode, and :meth:`close_interval` plays the tracker's role for the
+    owned channels.
     """
 
     def __init__(
@@ -168,9 +176,21 @@ class MultiChannelSimulator:
         self._overdue_after = config.sojourn_slack * self.t0
         self.channel_ids = np.asarray(ids, dtype=np.int64)
         self._local_of: Dict[int, int] = {cid: i for i, cid in enumerate(ids)}
-        self._cumulative = np.cumsum(
-            np.asarray(first.behaviour, dtype=float), axis=1
-        )
+        # The next-chunk rule ``-1 if u >= cum[-1] else (cum <= u).sum()``
+        # (cum: the finished chunk's cumulative behaviour row) as a
+        # lookup table.  Every entry of every row is one of the sorted
+        # distinct values ``cuts``, so how each compares with a draw u
+        # is decided by r = the number of cuts <= u: tabulating the rule
+        # at each r in 0..len(cuts) reproduces it exactly.
+        cumulative = np.cumsum(np.asarray(first.behaviour, dtype=float), axis=1)
+        cuts = np.unique(cumulative)
+        below = cumulative[:, :, None] <= cuts  # [j, k, r-1]: cum[j, k] <= cuts[r-1]
+        table = np.zeros((cumulative.shape[0], cuts.size + 1), dtype=np.int64)
+        table[:, 1:] = below.sum(axis=1)
+        table[:, 1:][below[:, -1, :]] = -1
+        self._next_cuts = cuts
+        self._next_table = table.ravel()
+        self._next_width = cuts.size + 1
         self._streams = RandomStreams(config.seed)
         # One persistent generator per channel (RandomStreams caches by
         # label, so these are the same objects scalar lookups would hit).
@@ -202,18 +222,29 @@ class MultiChannelSimulator:
         # ascending-id ordered dict mirrors the per-channel kernel's
         # total reduction order.
         C, J = self.num_channels, self.num_chunks
+        # Channel-major stable orderings sort this narrow copy of the
+        # local channel ids: a stable sort of <= 16-bit integers is a
+        # radix sort, the same permutation as any stable sort.
+        self._chan_key = (
+            np.uint8 if C <= 1 << 8 else np.uint16 if C <= 1 << 16
+            else np.int64
+        )
+        self._spill = C * J
+        self._complete_at = self.chunk_size - 1e-9
         self._capacity = np.zeros((C, J))
         self._capacity_sums: Dict[int, float] = {cid: 0.0 for cid in ids}
         self._provisioned_total = 0.0
         self._capacity_dirty = False
 
-        # Interval (tracker) accumulators, local-channel indexed.
-        self._iv_arrivals = np.zeros(C, dtype=np.int64)
-        self._iv_transitions = np.zeros((C, J, J))
-        self._iv_departures = np.zeros((C, J))
-        self._iv_starts = np.zeros((C, J))
-        self._iv_upload_sum: List[float] = [0.0] * C
-        self._iv_upload_samples = np.zeros(C, dtype=np.int64)
+        # Interval (tracker) statistics, built by close_interval().  The
+        # admission-side ones (arrivals, start chunks, upload samples and
+        # sums) are a pure function of the trace entries admitted since
+        # the last close, the slice [_iv_cursor, _cursor).  Each chunk
+        # completion that leaves its row's chunk (a move or a departure)
+        # appends its code ``(local * J + finished) * (J + 1) + next`` to
+        # _iv_moves, with ``next = J`` for a departure.
+        self._iv_cursor = 0
+        self._iv_moves: List[np.ndarray] = []
 
         # Per-user state, one ROW per session, dense in admission order —
         # each channel's subsequence is that channel's arrival order, the
@@ -228,19 +259,23 @@ class MultiChannelSimulator:
         self._n = 0  # rows in use, including dead ones awaiting compaction
         self._row_chan = np.empty(cap, dtype=np.int64)
         self._row_chunk = np.empty(cap, dtype=np.int64)
+        # Delivery cell ``chan * J + chunk`` of a downloading row, the
+        # spill bin ``C * J`` of a held or dead row; maintained where the
+        # chunk changes, together with the downloaders per cell, so the
+        # per-step solve reads both directly.
+        self._row_cell = np.empty(cap, dtype=np.int64)
+        self._cell_count = np.zeros(C * J, dtype=np.int64)
         self._row_received = np.empty(cap)
         self._row_enter = np.empty(cap)
-        self._row_upload = np.empty(cap)
         self._row_unsmooth = np.empty(cap)
         self._row_hold_until = np.empty(cap)
         self._row_hold_next = np.empty(cap, dtype=np.int64)
         self._row_hold_from = np.empty(cap, dtype=np.int64)
         self._row_alive = np.empty(cap, dtype=bool)
         self._stale = False
-        # Number of rows in the between-chunks hold state; the delivery
-        # solve skips its hold masking entirely when zero.
+        # Number of rows in the between-chunks hold state; the release
+        # scan is skipped entirely when zero.
         self._hold_count = 0
-        self._chan_count = np.zeros(C, dtype=np.int64)
         self._total_active = 0
 
     # ------------------------------------------------------------------
@@ -275,62 +310,61 @@ class MultiChannelSimulator:
         return int(self._total_active)
 
     def channel_populations(self) -> Dict[int, int]:
-        counts = self._chan_count
-        return {
-            int(cid): int(counts[i])
-            for i, cid in enumerate(self.channel_ids)
-        }
-
-    def peer_upload_totals(self) -> Tuple[float, int]:
-        """(sum, count) of active peers' upload capacities, reduced
-        channel by channel in ascending id order (the per-channel
-        kernel's store iteration order, arrival order within each
-        channel).  Idle channels contribute an exact ``+ 0.0``, so
-        skipping them is bitwise-neutral."""
         count = self._compact()
-        if count == 0:
-            return 0.0, 0
-        order = np.argsort(self._row_chan[:count], kind="stable")
-        uploads = self._row_upload[:count][order]
-        locals_sorted = self._row_chan[:count][order]
-        bounds = np.flatnonzero(np.diff(locals_sorted)) + 1
-        starts = [0, *bounds.tolist(), count]
-        total = 0.0
-        for k in range(len(starts) - 1):
-            total += float(uploads[starts[k] : starts[k + 1]].sum())
-        return total, count
-
-    def mean_peer_upload(self) -> float:
-        total, count = self.peer_upload_totals()
-        return total / count if count else 0.0
+        counts = np.bincount(
+            self._row_chan[:count], minlength=self.num_channels
+        )
+        return dict(zip(self.channel_ids.tolist(), counts.tolist()))
 
     def close_interval(self) -> List[IntervalStats]:
-        """This interval's per-channel statistics; resets accumulators.
+        """This interval's per-channel statistics; starts the next one.
 
         Plays :meth:`TrackingServer.close_interval` for the owned
         channels (ascending id order), with arrays copied out so the
-        report owns its data.
+        report owns its data.  The admission-side statistics come from
+        the trace entries admitted since the last close: counts are
+        integer bincounts (exact in any grouping), and each channel's
+        upload sum adds its entries left to right from 0.0 in trace
+        order — the tracker's element-by-element accumulation.
         """
+        C, J = self.num_channels, self.num_chunks
+        moves = (
+            np.bincount(
+                np.concatenate(self._iv_moves or [np.empty(0, np.int64)]),
+                minlength=C * J * (J + 1),
+            )
+            .reshape(C, J, J + 1)
+            .astype(float)
+        )
+        self._iv_moves = []
+        sl = slice(self._iv_cursor, self._cursor)
+        self._iv_cursor = self._cursor
+        locals_ = self._trace_channel[sl]
+        arrivals = np.bincount(locals_, minlength=C).tolist()
+        starts = (
+            np.bincount(locals_ * J + self._trace_start[sl], minlength=C * J)
+            .reshape(C, J)
+            .astype(float)
+        )
+        order = self._channel_order(locals_)
+        uploads = self._trace_upload[sl][order].tolist()
         out: List[IntervalStats] = []
-        for i, cid in enumerate(self.channel_ids):
+        i0 = 0
+        for i, cid in enumerate(self.channel_ids.tolist()):
+            i1 = i0 + arrivals[i]
             out.append(
                 IntervalStats(
-                    channel_id=int(cid),
+                    channel_id=cid,
                     interval_seconds=self.interval_seconds,
-                    arrivals=int(self._iv_arrivals[i]),
-                    transition_counts=self._iv_transitions[i].copy(),
-                    departure_counts=self._iv_departures[i].copy(),
-                    upload_capacity_sum=self._iv_upload_sum[i],
-                    upload_capacity_samples=int(self._iv_upload_samples[i]),
-                    start_chunk_counts=self._iv_starts[i].copy(),
+                    arrivals=arrivals[i],
+                    transition_counts=moves[i, :, :J].copy(),
+                    departure_counts=moves[i, :, J].copy(),
+                    upload_capacity_sum=sum(uploads[i0:i1], 0.0),
+                    upload_capacity_samples=arrivals[i],
+                    start_chunk_counts=starts[i].copy(),
                 )
             )
-        self._iv_arrivals[:] = 0
-        self._iv_transitions[:] = 0.0
-        self._iv_departures[:] = 0.0
-        self._iv_starts[:] = 0.0
-        self._iv_upload_sum = [0.0] * self.num_channels
-        self._iv_upload_samples[:] = 0
+            i0 = i1
         return out
 
     # ------------------------------------------------------------------
@@ -339,15 +373,21 @@ class MultiChannelSimulator:
     _ROW_ARRAYS = (
         "_row_chan",
         "_row_chunk",
+        "_row_cell",
         "_row_received",
         "_row_enter",
-        "_row_upload",
         "_row_unsmooth",
         "_row_hold_until",
         "_row_hold_next",
         "_row_hold_from",
         "_row_alive",
     )
+
+    def _channel_order(self, locals_: np.ndarray) -> np.ndarray:
+        """Stable channel-major order of rows with these local channels."""
+        return np.argsort(
+            locals_.astype(self._chan_key, copy=False), kind="stable"
+        )
 
     def _grow(self, need: int) -> None:
         cap = self._row_chan.size
@@ -393,48 +433,24 @@ class MultiChannelSimulator:
         self._cursor = end
         locals_ = self._trace_channel[sl]
         starts = self._trace_start[sl]
-        uploads = self._trace_upload[sl]
-        if count > 1:
-            # Group per channel, keeping trace order within a channel —
-            # the order the per-channel accumulators saw.
-            order = np.argsort(locals_, kind="stable")
-            locals_ = locals_[order]
-            starts = starts[order]
-            uploads = uploads[order]
-        # Appending at the tail keeps admission order even while dead
-        # rows await compaction (relative order of live rows is stable).
+        # Appending in trace order at the tail keeps every channel's
+        # subsequence in arrival order, even while dead rows await
+        # compaction (relative order of live rows is stable).
         n0 = self._n
         n1 = n0 + count
         if n1 > self._row_chan.size:
             self._grow(n1)
         self._row_chan[n0:n1] = locals_
         self._row_chunk[n0:n1] = starts
+        cells = locals_ * self.num_chunks + starts
+        self._row_cell[n0:n1] = cells
+        self._cell_count += np.bincount(cells, minlength=self._spill)
         self._row_received[n0:n1] = 0.0
         self._row_enter[n0:n1] = self.now
-        self._row_upload[n0:n1] = uploads
         self._row_unsmooth[n0:n1] = -np.inf
+        self._row_hold_until[n0:n1] = np.inf
         self._row_alive[n0:n1] = True
         self._n = n1
-        uniq, first_idx, per_channel = np.unique(
-            locals_, return_index=True, return_counts=True
-        )
-        for c, i0, n in zip(
-            uniq.tolist(), first_idx.tolist(), per_channel.tolist()
-        ):
-            # Element-by-element in arrival order: summation order is
-            # part of the parity contract (see TrackingServer).
-            # ``sum(seq, start)`` adds left to right from ``start`` —
-            # the same float operations as an explicit loop.
-            self._iv_upload_sum[c] = sum(
-                uploads[i0 : i0 + n].tolist(), self._iv_upload_sum[c]
-            )
-        self._iv_arrivals[uniq] += per_channel
-        self._iv_upload_samples[uniq] += per_channel
-        starts_flat = self._iv_starts.ravel()
-        starts_flat += np.bincount(
-            locals_ * self.num_chunks + starts, minlength=starts_flat.size
-        )
-        self._chan_count[uniq] += per_channel
         self._total_active += count
         self.arrivals += count
         return count
@@ -448,50 +464,48 @@ class MultiChannelSimulator:
     ) -> None:
         """Fused depart-or-move application (hold releases and immediate
         completions) at the given row positions.  All effects are
-        order-free across channels: integer counters and integer-valued
-        counter adds (bincount adds touch untouched cells with +0,
-        bitwise neutral on nonnegative counts, and integer-valued float
-        sums are exact in any grouping)."""
+        order-free across channels: integer counters, and move codes
+        that close_interval() counts (integer counts are exact in any
+        grouping)."""
         J = self.num_chunks
         departing = nxt < 0
-        dep_count = int(departing.sum())
+        self._iv_moves.append(
+            (locals_ * J + finished) * (J + 1) + np.where(departing, J, nxt)
+        )
+        dep_count = int(np.count_nonzero(departing))
         if dep_count:
             d_rows = rows[departing]
-            d_locals = locals_[departing]
             self._row_alive[d_rows] = False
-            # Dead rows must not look held: the release scan runs before
-            # the next compaction can drop them.
+            # Dead rows spill out of delivery and must not look held:
+            # the release scan runs before the next compaction can drop
+            # them.
             self._row_chunk[d_rows] = -1
-            dep_flat = self._iv_departures.ravel()
-            dep_flat += np.bincount(
-                d_locals * J + finished[departing], minlength=dep_flat.size
-            )
-            self._chan_count -= np.bincount(
-                d_locals, minlength=self.num_channels
-            )
+            self._row_cell[d_rows] = self._spill
+            self._row_received[d_rows] = -np.inf
+            self._row_hold_until[d_rows] = np.inf
             self._total_active -= dep_count
             self.departures += dep_count
             self._stale = True
         if dep_count < rows.size:
             moving = ~departing
             m_rows = rows[moving]
-            self._row_chunk[m_rows] = nxt[moving]
+            m_locals = locals_[moving]
+            m_next = nxt[moving]
+            self._row_chunk[m_rows] = m_next
+            cells = m_locals * J + m_next
+            self._row_cell[m_rows] = cells
+            self._cell_count += np.bincount(cells, minlength=self._spill)
             self._row_received[m_rows] = 0.0
             self._row_enter[m_rows] = self.now
-            tr_flat = self._iv_transitions.ravel()
-            tr_flat += np.bincount(
-                (locals_[moving] * J + finished[moving]) * J + nxt[moving],
-                minlength=tr_flat.size,
-            )
+            self._row_hold_until[m_rows] = np.inf
 
     def _release_holds(self) -> int:
         if self._hold_count == 0:
             return 0
-        n = self._n
-        due = (self._row_chunk[:n] == HOLDING) & (
-            self._row_hold_until[:n] <= self.now + 1e-9
+        # Rows that are not held carry hold_until = +inf.
+        rows = np.flatnonzero(
+            self._row_hold_until[: self._n] <= self.now + 1e-9
         )
-        rows = np.flatnonzero(due)
         if rows.size == 0:
             return 0
         self._hold_count -= int(rows.size)
@@ -510,37 +524,14 @@ class MultiChannelSimulator:
         channel order plus the completion event count.
         """
         C, J = self.num_channels, self.num_chunks
+        spill = self._spill
         dt = self.config.dt
         now = self.now
         user_cap = self.config.user_rate_cap
         n = self._n
-        chan = self._row_chan[:n]
-        chunk = self._row_chunk[:n]
-        holds = self._stale or self._hold_count > 0
-        if holds:
-            # Only held rows (chunk == HOLDING) and dead rows awaiting
-            # compaction (chunk == -1) fail the mask; every other live
-            # row is downloading.  Both spill into one extra bin that is
-            # dropped from the counts and gather the appended 0.0 rate
-            # below (an exact ``+ 0.0`` on their nonnegative buffers),
-            # so the whole table advances in sequential passes with no
-            # compression — and no per-step compaction.
-            dl_mask = chunk >= 0
-            flat = np.where(dl_mask, chan * J + chunk, C * J)
-            counts = (
-                np.bincount(flat, minlength=C * J + 1)[: C * J]
-                .reshape(C, J)
-                .astype(float)
-            )
-        else:
-            flat = chan * J + chunk
-            counts = (
-                np.bincount(flat, minlength=C * J)
-                .reshape(C, J)
-                .astype(float)
-            )
-        rates = np.zeros(C * J + 1)
-        rates_cj = rates[: C * J].reshape(C, J)
+        counts = self._cell_count.reshape(C, J).astype(float)
+        rates = np.zeros(spill + 1)
+        rates_cj = rates[:spill].reshape(C, J)
         busy = counts > 0
         rates_cj[busy] = np.minimum(
             user_cap, self._capacity[busy] / counts[busy]
@@ -553,26 +544,29 @@ class MultiChannelSimulator:
 
         events = 0
         if n:
-            # ``rates`` is the C-contiguous (C, J) table plus one
-            # trailing 0.0 for the spill bin, so the flat gather is the
-            # same elements as ``rates[local, chunk]`` for downloading
-            # rows and an exact 0.0 for masked ones; rows are unique,
-            # so the whole-column add matches per-row updates.
-            recv = self._row_received[:n] + rates[flat] * dt
-            if holds:
-                comp_mask = (recv >= self.chunk_size - 1e-9) & dl_mask
-            else:
-                comp_mask = recv >= self.chunk_size - 1e-9
-            self._row_received[:n] = recv
-            if comp_mask.any():
-                comp = np.flatnonzero(comp_mask)
-                comp_local = chan[comp]
-                finished = chunk[comp]
+            # ``(rates * dt)[cell]`` is elementwise ``rates[local, chunk]
+            # * dt`` for downloading rows; held and dead rows gather the
+            # spill bin's trailing 0.0 onto their -inf, so the threshold
+            # test alone selects the completions.  Rows are unique, so
+            # the in-place column add matches per-row updates.
+            cell = self._row_cell[:n]
+            received = self._row_received[:n]
+            received += (rates * dt)[cell]
+            comp = np.flatnonzero(received >= self._complete_at)
+            if comp.size:
+                # Every completing row leaves its cell: to the next
+                # chunk's (counted back in by _apply_transitions) or to
+                # the spill bin.
+                self._cell_count -= np.bincount(
+                    cell[comp], minlength=spill
+                )
+                comp_local = self._row_chan[comp]
+                finished = self._row_chunk[comp]
                 if comp.size > 1:
                     # Channel-major, arrival order within each channel —
                     # the order the per-channel kernel consumes its
                     # behaviour stream and sojourn accumulator in.
-                    order = np.argsort(comp_local, kind="stable")
+                    order = self._channel_order(comp_local)
                     comp = comp[order]
                     comp_local = comp_local[order]
                     finished = finished[order]
@@ -592,6 +586,8 @@ class MultiChannelSimulator:
                 if hold.any():
                     h_rows = comp[hold]
                     self._row_chunk[h_rows] = HOLDING
+                    self._row_cell[h_rows] = spill
+                    self._row_received[h_rows] = -np.inf
                     self._row_hold_until[h_rows] = release[hold]
                     self._row_hold_next[h_rows] = nxt[hold]
                     self._row_hold_from[h_rows] = finished[hold]
@@ -621,38 +617,41 @@ class MultiChannelSimulator:
         including its ``<= 4`` scalar path.
         """
         n = comp_local.size
-        bounds = np.flatnonzero(np.diff(comp_local)) + 1
-        starts = [0, *bounds.tolist(), n]
+        bounds = (np.flatnonzero(np.diff(comp_local)) + 1).tolist()
+        starts = [0, *bounds]
+        ends = [*bounds, n]
+        chans = comp_local[starts].tolist()
         quality = self.quality
         gens = self._gens
         u = np.empty(n)
         sojourn_acc = quality.sojourn_sum
-        for k in range(len(starts) - 1):
-            i0 = starts[k]
-            i1 = starts[k + 1]
-            seg = i1 - i0
+        for c, i0, i1 in zip(chans, starts, ends):
             # One block draw per channel; numpy bit generators consume
             # the stream identically for n scalar draws and one
             # ``random(n)`` (the RandomStreams.batch invariant), so this
             # also covers the per-channel kernel's <= 4 scalar path.
-            u[i0:i1] = gens[comp_local[i0]].random(seg)
-            if seg <= 4:
+            gens[c].random(out=u[i0:i1])
+            if i1 - i0 <= 4:
                 # The scalar path accumulates sojourns one Python float
                 # at a time; the batch path adds one pairwise np.sum per
-                # segment.  Both orders are part of the parity contract
-                # (``sum(seq, start)`` adds left to right from start).
+                # segment (``np.add.reduce`` is what np.sum calls;
+                # ``np.add.reduceat`` is NOT bitwise equal to it).  Both
+                # orders are part of the parity contract (``sum(seq,
+                # start)`` adds left to right from start).
                 sojourn_acc = sum(sojourns[i0:i1].tolist(), sojourn_acc)
             else:
-                sojourn_acc += float(np.sum(sojourns[i0:i1]))
+                sojourn_acc += float(np.add.reduce(sojourns[i0:i1]))
         quality.sojourn_sum = sojourn_acc
         quality.total_retrievals += n
         quality.unsmooth_retrievals += n - int(np.count_nonzero(smooth))
-        # Fused next-chunk decision: elementwise-identical to the scalar
-        # ``-1 if u >= cum[-1] else (cum <= u).sum()`` rule.
-        rows = self._cumulative[finished]
-        nxt = (rows <= u[:, None]).sum(axis=1)
-        nxt[u >= rows[:, -1]] = -1
-        return nxt
+        return self._next_chunks(finished, u)
+
+    def _next_chunks(self, finished: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The next chunk (``-1``: depart) after each finished chunk for
+        its behaviour draw ``u``: the scalar rule, tabulated (see
+        ``_next_table``)."""
+        r = np.searchsorted(self._next_cuts, u, side="right")
+        return self._next_table[finished * self._next_width + r]
 
     def _sample_quality(self) -> None:
         n = self._n

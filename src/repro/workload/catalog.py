@@ -25,6 +25,7 @@ catalog scale a single run admits 10^5–10^6 sessions and the scalar
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -129,6 +130,7 @@ __all__ = [
     "build_shard_trace",
     "ShardTraceArrays",
     "build_shard_trace_arrays",
+    "expected_sessions",
 ]
 
 
@@ -698,6 +700,31 @@ def channel_sessions(
     starts = np.where(from_start, 0, jumps).astype(np.int64)
     uploads = config.upload_distribution().sample(rng, n)
     return times, starts, uploads
+
+
+def expected_sessions(
+    config: CatalogConfig, shapes: Sequence[ChannelShape]
+) -> np.ndarray:
+    """Each shape's expected session count over the horizon.
+
+    The rate :func:`channel_sessions` thins against (mean rate x diurnal
+    factor x flash factor), integrated by the midpoint rule on a grid of
+    at most one point per minute.  A pure function of the config, so it
+    can weigh shards against each other before any trace is drawn.
+    """
+    diurnal = DiurnalPattern()
+    points = min(4096, max(1, int(math.ceil(config.horizon_seconds / 60.0))))
+    width = config.horizon_seconds / points
+    times = (np.arange(points) + 0.5) * width
+    out = np.zeros(len(shapes))
+    for k, shape in enumerate(shapes):
+        if shape.mean_rate > 0:
+            rate = (
+                diurnal.factors(times + shape.phase_seconds)
+                * _flash_factor(config, shape, times)
+            )
+            out[k] = shape.mean_rate * float(rate.sum()) * width
+    return out
 
 
 def shard_channel_ids(config: CatalogConfig, shard_index: int) -> List[int]:

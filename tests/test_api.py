@@ -360,6 +360,21 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="schema"):
             resume(path)
 
+    def test_resume_rejects_schema_3(self, tmp_path):
+        """Schema 4 changed the shard kernels' pickled state; a schema-3
+        checkpoint is refused by its header, naming the file."""
+        path = tmp_path / "schema3.ckpt"
+        path.write_bytes(pickle.dumps({
+            "format": "repro-checkpoint",
+            "schema": 3,
+            "kind": "catalog",
+            "state": {},
+        }))
+        assert CHECKPOINT_SCHEMA == 4
+        with pytest.raises(ValueError, match="schema 3") as info:
+            resume(path)
+        assert str(path) in str(info.value)
+
     @pytest.mark.parametrize("reference", [
         b"repro.cloud.gone\nThing",  # a module that no longer exists
         b"repro.cloud.vm\nVM",  # a class an older schema pickled

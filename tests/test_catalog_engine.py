@@ -8,6 +8,7 @@ plus the catalog workload's partition/trace stability and the registry
 surface.
 """
 
+import time
 
 import numpy as np
 import pytest
@@ -197,6 +198,62 @@ class TestShardedDeterminism:
         report = shard.advance_epoch(config.interval_seconds)
         assert [s.channel_id for s in report.stats] == shard.channel_ids
         assert set(report.channel_populations) == set(shard.channel_ids)
+
+
+# ----------------------------------------------------------------------
+# Phase ledger: the wall-clock phases add up
+# ----------------------------------------------------------------------
+
+class TestPhaseLedger:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_kernel_plus_ipc_is_the_epoch_round_trip(self, jobs, monkeypatch):
+        """``kernel + ipc`` equals the summed ``_advance_all`` wall time
+        (within 2 ms per epoch); the kernel critical path never exceeds
+        it, and ``kernel_cpu`` is reported beside it, not in it."""
+        walls = []
+        advance_all = ShardedSimulator._advance_all
+
+        def timed(self, *args):
+            started = time.perf_counter()
+            try:
+                return advance_all(self, *args)
+            finally:
+                walls.append(time.perf_counter() - started)
+
+        monkeypatch.setattr(ShardedSimulator, "_advance_all", timed)
+        with ShardedSimulator(small_config(), jobs=jobs) as engine:
+            engine.run()
+            phases = dict(engine.phase_seconds)
+        assert set(phases) == {
+            "start", "kernel", "ipc", "merge", "controller", "kernel_cpu",
+        }
+        epochs = len(walls)
+        assert epochs == engine.epochs_total
+        assert abs(phases["kernel"] + phases["ipc"] - sum(walls)) \
+            <= 0.002 * epochs
+        assert phases["ipc"] >= 0.0
+        assert phases["kernel"] > 0.0 and phases["kernel_cpu"] > 0.0
+        assert phases["start"] > 0.0
+
+    def test_kernel_is_the_slowest_workers_wall_time(self, monkeypatch):
+        """Each shard epoch sleeps 20 ms (wall time, no CPU): ``kernel``
+        counts the busier worker's sleeps once per epoch, ``kernel_cpu``
+        none of them, and the workers' sleeps overlap rather than add."""
+        advance = ChannelShard.advance_epoch
+
+        def slow(self, *args):
+            time.sleep(0.02)
+            return advance(self, *args)
+
+        monkeypatch.setattr(ChannelShard, "advance_epoch", slow)
+        config = small_config()  # 4 shards: 2 per worker
+        with ShardedSimulator(config, jobs=2) as engine:
+            engine.run()
+            phases = dict(engine.phase_seconds)
+            epochs = engine.epochs_total
+        assert phases["kernel"] >= 2 * 0.02 * epochs
+        assert phases["kernel_cpu"] < phases["kernel"] - 0.02 * epochs
+        assert phases["ipc"] >= 0.0
 
 
 # ----------------------------------------------------------------------

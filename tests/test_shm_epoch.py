@@ -155,7 +155,7 @@ class TestBlockRoundTrip:
             report = _synthetic_report(data, layout, shard_index)
             views = layout.views(segment.buf, shard_index)
             report_to_views(
-                views, report, layout.owned_ids[shard_index], 0.0
+                views, report, layout.owned_ids[shard_index], 0.0, 0.0
             )
             back = report_from_views(
                 views, shard_index, layout.owned_ids[shard_index],
@@ -195,7 +195,7 @@ class TestBlockRoundTrip:
                 for i in order:
                     report_to_views(
                         layout.views(segment.buf, i), reports[i],
-                        layout.owned_ids[i], 0.0,
+                        layout.owned_ids[i], 0.0, 0.0,
                     )
                 back = [
                     report_from_views(

@@ -7,11 +7,16 @@
 * A host with asyncio signal handlers (``repro serve``) must not pass
   them on: a worker would ignore SIGTERM and write the signal into the
   host's event-loop wake-up pipe, draining the host instead.
+* Workers build their own shards.  A build that raises inside a worker
+  surfaces as a :class:`ShardEngineError` carrying the worker's
+  traceback, and leaks no process and no ``/dev/shm`` segment.
 
-Each case runs a 2-worker catalog run in a subprocess.
+The signal cases run a 2-worker catalog run in a subprocess; the build
+failures run in this process.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -20,7 +25,12 @@ import textwrap
 import time
 from pathlib import Path
 
+import pytest
+
+from repro.api import EngineConfig, open_run
+from repro.sim.shard import ChannelShard, ShardEngineError
 from repro.sim.shm import unlink_stale_segment
+from repro.workload.catalog import catalog_config
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -127,3 +137,65 @@ def test_worker_sigterm_under_asyncio_host():
     assert process.returncode == 0, out
     outcome = json.loads(out.strip().splitlines()[-1])
     assert outcome == {"exitcode": -signal.SIGTERM, "host_signalled": False}
+
+
+def _shm_entries():
+    try:
+        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+    except FileNotFoundError:  # pragma: no cover - non-tmpfs platforms
+        return set()
+
+
+def _children():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _failing(*args, **kwargs):
+    raise RuntimeError("injected shard build failure")
+
+
+def _two_worker_run():
+    config = catalog_config(
+        num_channels=8, chunks_per_channel=4, horizon_hours=0.5,
+        arrival_rate=0.5, num_shards=4, dt=60.0, interval_minutes=10.0,
+    )
+    return open_run(EngineConfig(spec=config, workers=2))
+
+
+def test_shard_constructor_failure_in_worker(monkeypatch):
+    """``ChannelShard.__init__`` raising in the workers: the first
+    ``advance()`` raises with the worker traceback, and by then every
+    worker is gone and the epoch segment is unlinked."""
+    segments, children = _shm_entries(), _children()
+    # With two workers the parent builds no shard, so the patch
+    # (inherited through the fork) fires only in the workers.
+    monkeypatch.setattr(ChannelShard, "__init__", _failing)
+    run = _two_worker_run()
+    try:
+        with pytest.raises(ShardEngineError) as info:
+            run.advance()
+        assert "Traceback" in str(info.value)
+        assert "injected shard build failure" in str(info.value)
+        assert _shm_entries() == segments
+        assert _children() == children
+        assert run.shm_segments() == []
+    finally:
+        run.close()
+    assert _shm_entries() == segments
+
+
+def test_deferred_kernel_build_failure_in_worker(monkeypatch):
+    """The trace and kernel build inside a worker's first epoch: its
+    failure is that epoch's ``ShardEngineError``, with the traceback,
+    and ``close()`` leaves nothing behind."""
+    segments, children = _shm_entries(), _children()
+    monkeypatch.setattr(ChannelShard, "_build", _failing)
+    run = _two_worker_run()
+    try:
+        with pytest.raises(ShardEngineError) as info:
+            run.advance()
+        assert "injected shard build failure" in str(info.value)
+    finally:
+        run.close()
+    assert _shm_entries() == segments
+    assert _children() == children
